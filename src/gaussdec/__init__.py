@@ -36,6 +36,7 @@ from .decouple import (
     decoupling_coefficient,
     det_identity_residual,
     from_covariance,
+    least_beta_bar,
     optimal_beta_bar,
     q_new,
     q_old,
@@ -59,7 +60,6 @@ from .errors import (
 from .matcore import (
     Spectrum,
     cholesky,
-    householder_qr,
     jacobi_eigen,
     lu_det,
     sym_eigen,

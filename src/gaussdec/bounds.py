@@ -190,21 +190,16 @@ class BoundsReport:
 def report(x: decouple.GaussianVector, p: float, beta: float = 1.0) -> BoundsReport:
     """Evaluate all applicable bounds on p*diag(gamma) - C."""
     m = decouple.shifted_matrix(x, p)
-    prof = dominance_profile(m)
-    ostrowski = (
-        float(np.prod(prof.diag_abs - prof.offdiag_rowsums))
-        if prof.strictly_dominant
-        else None
-    )
-    corner: float | None = None
     try:
-        bb = decouple.beta_bar(x, beta)
-        if p >= bb * decouple.decoupling_coefficient(x):
-            corner = cornerstone_bound(x, p, bb)
-    except DegenerateBeta:
-        pass
+        ostrowski: float | None = ostrowski_lower_bound(m)
+    except NotApplicable:
+        ostrowski = None
+    try:
+        corner: float | None = cornerstone_bound(x, p, decouple.beta_bar(x, beta))
+    except (DegenerateBeta, NotAdmissibleClassical):
+        corner = None
     return BoundsReport(
-        strictly_dominant=prof.strictly_dominant,
+        strictly_dominant=ostrowski is not None,
         ostrowski_bound=ostrowski,
         taussky_verdict=taussky_test(m).value,
         cornerstone_bound=corner,

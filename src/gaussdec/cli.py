@@ -114,7 +114,9 @@ def _load_vector(path: str) -> decouple.GaussianVector:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     x = _load_vector(args.input)
-    rep = decouple.analyze(x, args.p, beta=args.beta, use_optimal_beta=args.optimal_beta)
+    if not args.beta >= 1.0:  # rejected even when --optimal-beta leaves it unused
+        raise InvalidParameter(f"beta must be >= 1, got {args.beta}")
+    rep = decouple.analyze(x, args.p, beta=None if args.optimal_beta else args.beta)
     _emit_json(rep.to_json_dict(), args.output)
     return EXIT_OK
 
@@ -218,42 +220,20 @@ def _sweep_rows(spec: dict):
         doc = dict(family_doc)
         doc[key] = int(round(param)) if key in ("n", "seed") else param
         x = decouple.from_covariance(covgen.generate(covgen.family_from_json(doc)))
-        px = decouple.decoupling_coefficient(x)
-        xi = decouple.simultaneous_diagonalization(x).xi
-        region = decouple.region_of(x)
-        max_inv_xi = float(1.0 / xi[0])
-        if beta is not None:
-            try:
-                bb = decouple.beta_bar(x, beta)
-            except DegenerateBeta:
-                bb = None
-        else:
-            bb = None  # optimal route, threshold reported from the feasibility floor
-        floor = max(decouple.variance_ratio(x), 1.0 + decouple.EPS_BETA)
-        threshold = (bb if bb is not None else floor) * px
-        for p in p_values:
-            in_new = region.contains(p)
-            qn = decouple.q_new(x, p) if in_new else None
-            if beta is not None:
-                classical_ok = bb is not None and p >= bb * px
-                qo = decouple.q_old(x, p, bb) if classical_ok else None
-            else:
-                try:
-                    qo = decouple.q_old(x, p, decouple.optimal_beta_bar(x, p))
-                    classical_ok = True
-                except (NotAdmissibleClassical, InvalidParameter):
-                    qo = None
-                    classical_ok = False
+        reports = [decouple.analyze(x, p, beta) for p in p_values]
+        max_inv_xi = decouple.region_of(x).breakpoints[0]
+        threshold = decouple.least_beta_bar(x, beta) * reports[0].p_of_X
+        for rep in reports:
             yield {
                 "param": param,
-                "p": p,
-                "in_region_new": in_new,
-                "q_new": qn,
-                "classical_ok": classical_ok,
-                "q_old": qo,
+                "p": rep.p,
+                "in_region_new": rep.in_region,
+                "q_new": rep.q_new,
+                "classical_ok": rep.q_old is not None,
+                "q_old": rep.q_old,
                 "max_inv_xi": max_inv_xi,
                 "beta_bar_pX": threshold,
-                "det_identity_residual": decouple.det_identity_residual(x, p),
+                "det_identity_residual": rep.identity_residual,
             }
 
 
@@ -401,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameter, NotSymmetric, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except ArithmeticError as exc:
+        print(f"error: numerically unusable: {exc!r}", file=sys.stderr)
+        return EXIT_NOT_SPD
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

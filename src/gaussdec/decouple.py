@@ -58,22 +58,24 @@ BREAKPOINT_COLLAPSE_TOL = 1e-10
 class GaussianVector:
     """A centered Gaussian vector, represented by its covariance matrix.
 
-    ``c`` is stored exactly symmetric and certified positive definite;
-    ``gamma`` holds the variances diag(C) and ``sigma`` their square roots.
-    Instances are immutable; derived factorizations are cached.
+    ``c`` is stored exactly symmetric and certified positive definite by its
+    lower Cholesky factor ``cholesky_factor``; ``gamma`` holds the variances
+    diag(C) and ``sigma`` their square roots.  Instances are immutable;
+    derived factorizations are cached.
     """
 
     c: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray
+    cholesky_factor: np.ndarray
 
     @property
     def n(self) -> int:
         return self.c.shape[0]
 
     @cached_property
-    def cholesky_factor(self) -> np.ndarray:
-        return matcore.cholesky(self.c)
+    def _det_c(self) -> float:
+        return matcore.lu_det(self.c)
 
     @cached_property
     def _simdiag(self) -> "SimDiag":
@@ -96,11 +98,11 @@ def from_covariance(c) -> GaussianVector:
     if np.any(gamma <= 0.0):
         bad = int(np.argmin(gamma))
         raise NonPositiveVariance(f"variance at index {bad} is {gamma[bad]:.6e}")
-    matcore.cholesky(m)
+    low = matcore.cholesky(m)
     sigma = np.sqrt(gamma)
-    for arr in (m, gamma, sigma):
+    for arr in (m, gamma, sigma, low):
         arr.setflags(write=False)
-    return GaussianVector(c=m, gamma=gamma, sigma=sigma)
+    return GaussianVector(c=m, gamma=gamma, sigma=sigma, cholesky_factor=low)
 
 
 def decoupling_coefficient(x: GaussianVector) -> float:
@@ -128,20 +130,36 @@ def beta_bar(x: GaussianVector, beta: float) -> float:
     return bb
 
 
+def least_beta_bar(x: GaussianVector, beta: float | None = None) -> float:
+    """The least beta_bar the classical route accepts.
+
+    For a fixed ``beta`` that is beta_bar(x, beta).  For ``None`` (the
+    optimal route) and for a degenerate beta it is the floor
+    max(variance ratio, 1 + EPS_BETA) below which ``optimal_beta_bar``
+    finds no valid choice.  Times p(X), it is the classical threshold.
+    """
+    if beta is not None:
+        try:
+            return beta_bar(x, beta)
+        except DegenerateBeta:
+            pass
+    return max(variance_ratio(x), 1.0 + EPS_BETA)
+
+
 def optimal_beta_bar(x: GaussianVector, p: float) -> float:
     """The beta_bar minimizing the classical constant at exponent p.
 
     The constant decreases in beta_bar while the hypothesis caps it at
-    p / p(X), so the cap is optimal whenever it clears both the variance
-    ratio and the strict gap 1 + EPS_BETA; otherwise no valid choice exists.
+    p / p(X), so the cap is optimal whenever it clears the floor
+    ``least_beta_bar(x)``; otherwise no valid choice exists.
     """
     if not p > 1.0:
         raise InvalidParameter(f"p must exceed 1, got {p}")
     px = decoupling_coefficient(x)
-    floor = max(variance_ratio(x), 1.0 + EPS_BETA)
+    floor = least_beta_bar(x)
     cap = p / px
     while cap * px > p:  # keep p >= cap * p(X) exactly, despite rounding
-        cap = math.nextafter(cap, 1.0)
+        cap = math.nextafter(cap, 0.0)
     if cap < floor:
         raise NotAdmissibleClassical(
             f"p={p} is below the classical threshold {floor * px:.12g} (= {floor:.6g} * p(X))"
@@ -163,9 +181,8 @@ def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
             f"p={p} is below beta_bar * p(X) = {beta_bar_value * px:.12g}"
         )
     n = x.n
-    det_c = matcore.lu_det(x.c)
     denom = (1.0 - 1.0 / beta_bar_value) ** ((n / 2.0) * (1.0 - 1.0 / p))
-    return float(np.prod(x.sigma) ** (1.0 / p) / (denom * det_c ** (1.0 / (2.0 * p))))
+    return float(np.prod(x.sigma) ** (1.0 / p) / (denom * x._det_c ** (1.0 / (2.0 * p))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,16 +293,6 @@ class AdmissibleRegion:
         above = sum(1 for b in self.breakpoints if b > p)
         return above % 2 == 0
 
-    def classify(self, p: float) -> str:
-        """'admissible', 'excluded', or 'breakpoint' (within margin)."""
-        p = float(p)
-        if not math.isfinite(p) or p <= 1.0:
-            return "excluded"
-        if self.breakpoint_distance(p) <= self.margin(p):
-            return "breakpoint"
-        above = sum(1 for b in self.breakpoints if b > p)
-        return "admissible" if above % 2 == 0 else "excluded"
-
     def to_json_dict(self) -> dict:
         return {
             "breakpoints": [float(b) for b in self.breakpoints],
@@ -349,11 +356,10 @@ def q_new(x: GaussianVector, p: float) -> float:
     if not region.contains(p):
         raise NotInRegion(f"p={p} is not in the admissible region with margin")
     xi = x._simdiag.xi
-    det_c = matcore.lu_det(x.c)
     prod_factor = float(np.prod(np.abs(1.0 - 1.0 / (p * xi))))
     return float(
         np.prod(x.sigma) ** (1.0 / p)
-        * det_c ** (-1.0 / (2.0 * p))
+        * x._det_c ** (-1.0 / (2.0 * p))
         * prod_factor ** (-0.5 * (1.0 - 1.0 / p))
     )
 
@@ -426,39 +432,27 @@ class DecouplingReport:
         }
 
 
-def analyze(
-    x: GaussianVector,
-    p: float,
-    beta: float = 1.0,
-    use_optimal_beta: bool = False,
-) -> DecouplingReport:
+def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> DecouplingReport:
     """One-stop report at exponent p: region membership, both constants when
     their hypotheses hold, and the determinant-identity residual.
 
     Inadmissibility never raises here; the corresponding fields are None.
-    With ``use_optimal_beta`` the classical route uses the constant-minimizing
-    beta_bar instead of max(variance ratio, beta).
+    The classical route uses beta_bar = max(variance ratio, beta) for a
+    fixed ``beta`` >= 1, and the constant-minimizing ``optimal_beta_bar``
+    when ``beta`` is None.
     """
     if not p > 1.0:
         raise InvalidParameter(f"p must exceed 1, got {p}")
-    if not beta >= 1.0:
-        raise InvalidParameter(f"beta must be >= 1, got {beta}")
     px = decoupling_coefficient(x)
     xi = x._simdiag.xi
     in_region = x._region.contains(p)
     qn = q_new(x, p) if in_region else None
 
     bb: float | None
-    if use_optimal_beta:
-        try:
-            bb = optimal_beta_bar(x, p)
-        except NotAdmissibleClassical:
-            bb = None
-    else:
-        try:
-            bb = beta_bar(x, beta)
-        except DegenerateBeta:
-            bb = None
+    try:
+        bb = beta_bar(x, beta) if beta is not None else optimal_beta_bar(x, p)
+    except (DegenerateBeta, NotAdmissibleClassical):
+        bb = None
     qo = q_old(x, p, bb) if bb is not None and p >= bb * px else None
 
     return DecouplingReport(

@@ -1,10 +1,10 @@
 """Dense real linear algebra substrate.
 
-Symmetric eigensolvers, Cholesky factorization, pivoted-LU determinants and
-Householder QR, written directly against numpy arrays.  No LAPACK-backed
-factorization routine is called: orthogonal bases are built exclusively from
-Householder reflections and Jacobi rotations, which stay orthonormal to
-machine precision regardless of conditioning.
+Symmetric eigensolvers, Cholesky factorization and pivoted-LU determinants,
+written directly against numpy arrays.  No LAPACK-backed factorization
+routine is called: orthogonal bases are built exclusively from Householder
+reflections and Jacobi rotations, which stay orthonormal to machine precision
+regardless of conditioning.
 
 Two independent eigensolvers are provided on purpose.  ``sym_eigen``
 (Householder tridiagonalization followed by implicitly shifted QL sweeps) is
@@ -305,15 +305,6 @@ def solve_upper(up: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def spd_inverse(a) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    low = cholesky(a)
-    n = low.shape[0]
-    y = solve_lower(low, np.eye(n))
-    inv = solve_upper(low.T, y)
-    return (inv + inv.T) / 2.0
-
-
 def lu_det(a) -> float:
     """Signed determinant by Gaussian elimination with partial pivoting.
 
@@ -334,27 +325,3 @@ def lu_det(a) -> float:
             factors = m[k + 1 :, k] / m[k, k]
             m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
     return float(det)
-
-
-def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization by a sequence of Householder reflections.
-
-    Returns (Q, R) with Q orthogonal, R upper triangular and Q R = A.
-    """
-    r = as_matrix(a)
-    n = r.shape[0]
-    q = np.eye(n)
-    for k in range(n - 1):
-        x = r[k:, k]
-        if not np.any(x[1:]):
-            continue  # already upper triangular in this column
-        norm = math.sqrt(float(np.dot(x, x)))
-        v = x.copy()
-        v[0] += math.copysign(norm, v[0])
-        vsq = float(np.dot(v, v))
-        if vsq == 0.0:
-            continue
-        beta = 2.0 / vsq
-        r[k:, :] -= beta * np.outer(v, v @ r[k:, :])
-        q[:, k:] -= beta * np.outer(q[:, k:] @ v, v)
-    return q, np.triu(r)

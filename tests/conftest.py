@@ -1,0 +1,32 @@
+"""Shared fixtures for the test suite."""
+
+import contextlib
+import signal
+
+import pytest
+
+
+class DeadlineExceeded(Exception):
+    """A block guarded by the ``deadline`` fixture ran past its time."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    def on_alarm(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` fails the test with DeadlineExceeded when the
+    block runs longer than s seconds.  SIGALRM is delivered between
+    bytecodes, so it also ends a pure-Python loop that never returns."""
+    return _deadline

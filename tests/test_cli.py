@@ -119,6 +119,15 @@ class TestExitCodes:
     def test_gen_invalid_family_is_exit_2(self):
         assert run(["gen", "--family", '{"kind":"equicorrelated","n":3,"rho":-0.6}']) == 2
 
+    def test_numerically_unusable_is_exit_3(self, tmp_path, capsys):
+        # det C underflows to 0.0 in linear space from n = 164 at rho = 0.99,
+        # and q_new then divides by zero; the log-space determinant is open.
+        path = tmp_path / "equi.json"
+        c = covgen.generate(covgen.Equicorrelated(164, 0.99))
+        path.write_text(json.dumps(cli.matrix_to_document(c)))
+        assert run(["analyze", "--input", str(path), "--p", "1e3"]) == 3
+        assert "numerically unusable" in capsys.readouterr().err
+
     def test_sweep_degenerate_grid_is_exit_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
@@ -245,6 +254,76 @@ class TestSweep:
             # the top-interval corollary, checkable from the recorded columns
             if float(cells["p"]) > float(cells["max_inv_xi"]) + 1e-6:
                 assert cells["in_region_new"] == "true"
+
+    @pytest.mark.parametrize("family, beta", [
+        ({"kind": "ar1", "n": 4, "rho": "-0.6:0.6:0.6"}, 1.5),  # fixed beta
+        ({"kind": "equicorrelated", "n": 3, "rho": "0.1:0.7:0.3"}, 1.0),  # degenerate
+        ({"kind": "randomspd", "n": "3:5:1", "seed": 2, "cond": 30}, None),  # optimal
+    ])
+    def test_rows_are_analyze_reports(self, tmp_path, deadline, family, beta):
+        spec = {"family": family, "p_grid": "1.1:9.1:0.4"}
+        if beta is not None:
+            spec["beta"] = beta
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        with deadline(60.0):
+            assert run(["sweep", "--spec", str(path), "--output", str(out)]) == 0
+        key = next(k for k, v in family.items() if isinstance(v, str) and ":" in v)
+        rows = [dict(zip(cli.SWEEP_HEADER, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3 * 21
+        for cells in rows:
+            doc = dict(family)
+            doc[key] = int(round(float(cells["param"]))) if key == "n" else float(cells["param"])
+            x = decouple.from_covariance(covgen.generate(covgen.family_from_json(doc)))
+            rep = decouple.analyze(x, float(cells["p"]), beta)
+            assert cells["in_region_new"] == ("true" if rep.in_region else "false")
+            assert cells["q_new"] == ("" if rep.q_new is None else repr(rep.q_new))
+            assert cells["q_old"] == ("" if rep.q_old is None else repr(rep.q_old))
+            assert cells["classical_ok"] == ("false" if rep.q_old is None else "true")
+            assert float(cells["det_identity_residual"]) == rep.identity_residual
+
+    def test_optimal_route_below_p_of_x_ends(self, tmp_path, deadline):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": {"kind": "randomspd", "n": "5:12:1", "seed": 3, "cond": 20},
+            "p_grid": "1.5:30:2.5",
+        }))
+        out = tmp_path / "sweep.csv"
+        with deadline(60.0):
+            assert run(["sweep", "--spec", str(spec), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 8 * 12
+
+    @pytest.mark.parametrize("p_grid", ["1.0:3.0:0.5", "0.5:3.0:0.5"])
+    def test_p_grid_at_or_below_one_is_exit_2(self, tmp_path, capsys, p_grid):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": {"kind": "equicorrelated", "n": 2, "rho": "0.1:0.3:0.1"},
+            "p_grid": p_grid, "beta": 2.0,
+        }))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--spec", str(spec), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert run(["sweep", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestOptimalBeta:
+    def test_below_p_of_x_gives_no_classical_constant(self, tmp_path, deadline):
+        path = tmp_path / "ar1.json"
+        c = covgen.generate(covgen.AR1(100, 0.5))
+        path.write_text(json.dumps(cli.matrix_to_document(c)))
+        out = tmp_path / "rep.json"
+        with deadline(60.0):
+            assert run(["analyze", "--input", str(path), "--p", "1.6", "--optimal-beta",
+                        "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["q_old"] is None and doc["beta_bar"] is None
+
+    def test_invalid_beta_still_rejected(self, equi_file):
+        assert run(["analyze", "--input", equi_file, "--p", "3", "--beta", "0.5",
+                    "--optimal-beta"]) == 2
 
 
 class TestMiscellaneous:

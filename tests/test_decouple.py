@@ -121,6 +121,29 @@ class TestOptimalBetaBar:
         with pytest.raises(NotAdmissibleClassical):
             decouple.optimal_beta_bar(decouple.from_covariance(EQUI), 1.2)
 
+    def test_below_p_of_x_ends(self, deadline):
+        # p / p(X) < 1 here, and fl(p / p(X)) * p(X) > p: nudging the cap
+        # toward 1 instead of 0 never restored p >= cap * p(X).
+        x = decouple.from_covariance(covgen.generate(covgen.AR1(100, 0.5)))
+        with deadline(10.0), pytest.raises(NotAdmissibleClassical):
+            decouple.optimal_beta_bar(x, 1.6)
+
+
+class TestLeastBetaBar:
+    def test_fixed_beta(self):
+        assert decouple.least_beta_bar(decouple.from_covariance(EQUI), 2.0) == 2.0
+
+    def test_floor_for_optimal_and_degenerate_beta(self):
+        x = decouple.from_covariance(EQUI)
+        floor = 1.0 + decouple.EPS_BETA
+        assert decouple.least_beta_bar(x) == floor
+        assert decouple.least_beta_bar(x, 1.0) == floor
+
+    def test_variance_ratio_dominates(self):
+        x = decouple.from_covariance(np.diag([1.0, 4.0]))
+        assert decouple.least_beta_bar(x) == 4.0
+        assert decouple.least_beta_bar(x, 2.0) == 4.0
+
 
 class TestQOld:
     def test_identity_two(self):
@@ -397,7 +420,7 @@ class TestAnalyze:
         x = decouple.from_covariance(EQUI)
         plain = decouple.analyze(x, 3.0, beta=1.0)
         assert plain.beta_bar is None and plain.q_old is None
-        optimal = decouple.analyze(x, 3.0, beta=1.0, use_optimal_beta=True)
+        optimal = decouple.analyze(x, 3.0, beta=None)
         assert optimal.beta_bar == 2.0 and optimal.q_old is not None
 
     def test_q_old_present_iff_condition(self):

@@ -169,31 +169,6 @@ class TestLuDet:
         assert abs(matcore.lu_det([[0.0, 1.0], [1.0, 0.0]]) + 1.0) <= 1e-15
 
 
-class TestHouseholderQR:
-    def test_identity(self):
-        q, r = matcore.householder_qr(np.eye(3))
-        np.testing.assert_allclose(q, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-14)
-
-    def test_antidiagonal_reflection(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        q, r = matcore.householder_qr(a)
-        assert abs(abs(r[0, 0]) - 1.0) <= 1e-14 and abs(abs(r[1, 1]) - 1.0) <= 1e-14
-        assert abs(r[1, 0]) == 0.0
-        # Q is a reflection: orthogonal with determinant -1
-        assert abs(matcore.lu_det(q) + 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_reconstruction_random(self, seed):
-        rng = np.random.default_rng(600 + seed)
-        n = int(rng.integers(2, 7))
-        a = rng.standard_normal((n, n))
-        q, r = matcore.householder_qr(a)
-        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
-        assert np.max(np.abs(np.tril(r, -1))) == 0.0
-        assert np.max(np.abs(q @ r - a)) <= 1e-12 * (1.0 + matcore.max_abs(a))
-
-
 class TestValidation:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameter):
@@ -215,9 +190,3 @@ class TestValidation:
         b = rng.standard_normal(5)
         x = matcore.solve_upper(low.T, matcore.solve_lower(low, b))
         assert np.max(np.abs(a @ x - b)) <= 1e-10 * max(1.0, matcore.max_abs(a))
-
-    def test_spd_inverse(self):
-        rng = np.random.default_rng(78)
-        a = random_spd(4, rng)
-        inv = matcore.spd_inverse(a)
-        assert np.max(np.abs(a @ inv - np.eye(4))) <= 1e-10 * max(1.0, matcore.max_abs(a))
