@@ -10,20 +10,27 @@ different constants Q:
 * ``q_new`` -- a sharper constant defined on a (generally disconnected)
   subset of (1, inf).  It is driven by the coefficients xi_j of a
   simultaneous diagonalization: an invertible R with R^T C R = I and
-  R^T diag(gamma) R = diag(xi), built as R = U D V from two symmetric
-  eigendecompositions.  The reciprocals 1/xi_j are exactly the eigenvalues
-  of the correlation-scaled matrix diag(1/sigma) C diag(1/sigma), which the
-  independent oracle below exploits.
+  R^T diag(gamma) R = diag(xi).  The reciprocals 1/xi_j are exactly the
+  eigenvalues lambda_j of the correlation matrix
+  K = diag(1/sigma) C diag(1/sigma).
 
-The admissible set for ``q_new`` excludes the breakpoints 1/xi_j and keeps
-the exponents p for which the count of breakpoints above p is even; this is
+Every output here comes from one eigendecomposition K = Q diag(lambda) Q^T,
+computed once per vector: the breakpoints 1/xi_j = lambda_j, the region,
+and both constants, which depend on C only through lambda because
+det C = prod(gamma_i) * prod(lambda_j).  The paper's construction
+R = U D V from two symmetric eigendecompositions is built on request by
+``simultaneous_diagonalization``; the tests check its defining relations,
+and ``correlation_eigs_oracle`` checks lambda with an independent solver.
+
+The admissible set for ``q_new`` excludes the breakpoints and keeps the
+exponents p for which the count of breakpoints above p is even; this is
 precisely the sign condition making det(p*diag(gamma) - C) positive, by the
 exact identity
 
-    det(p*diag(gamma) - C) = p^n * prod(gamma_i) * prod(1 - 1/(p*xi_i)),
+    det(p*diag(gamma) - C) = p^n * prod(gamma_i) * prod(1 - lambda_j/p),
 
-which holds for every p > 0 and is re-checked numerically by
-``det_identity_residual``.
+which holds for every p > 0 and is re-checked against a pivoted-LU
+determinant by ``det_identity_residual``.
 """
 
 from __future__ import annotations
@@ -60,8 +67,10 @@ class GaussianVector:
 
     ``c`` is stored exactly symmetric and certified positive definite by its
     lower Cholesky factor ``cholesky_factor``; ``gamma`` holds the variances
-    diag(C) and ``sigma`` their square roots.  Instances are immutable;
-    derived factorizations are cached.
+    diag(C) and ``sigma`` their square roots.  Instances are immutable.  The
+    spectrum of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
+    which gives xi, the region and both constants, is computed once on first
+    use and cached.
     """
 
     c: np.ndarray
@@ -74,16 +83,20 @@ class GaussianVector:
         return self.c.shape[0]
 
     @cached_property
-    def _det_c(self) -> float:
-        return matcore.lu_det(self.c)
+    def _spectrum(self) -> matcore.Spectrum:
+        """K = Q diag(lambda) Q^T, lambda ascending and all positive."""
+        spec = matcore.sym_eigen(self.c / np.outer(self.sigma, self.sigma))
+        if spec.eigenvalues[0] <= 0.0:
+            raise NotPositiveDefinite("correlation eigenvalues are not all positive")
+        return spec
 
     @cached_property
-    def _simdiag(self) -> "SimDiag":
-        return _build_simdiag(self)
+    def _log_det_k(self) -> float:
+        return float(np.sum(np.log(self._spectrum.eigenvalues)))
 
     @cached_property
     def _region(self) -> "AdmissibleRegion":
-        return admissible_region(self._simdiag.xi)
+        return admissible_region(1.0 / self._spectrum.eigenvalues)
 
 
 def from_covariance(c) -> GaussianVector:
@@ -171,7 +184,8 @@ def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
     """Classical decoupling constant at exponent p.
 
     Q = (prod sigma_i)^(1/p) / [ (1 - 1/beta_bar)^((n/2)(1-1/p)) det(C)^(1/(2p)) ],
-    valid under p >= beta_bar * p(X) with beta_bar > 1.
+    valid under p >= beta_bar * p(X) with beta_bar > 1.  Evaluated in log
+    space as log Q = -sum(log lambda)/(2p) - (n/2)(1-1/p) log(1 - 1/beta_bar).
     """
     if beta_bar_value <= 1.0:
         raise DegenerateBeta(f"beta_bar must exceed 1, got {beta_bar_value}")
@@ -180,9 +194,8 @@ def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
         raise NotAdmissibleClassical(
             f"p={p} is below beta_bar * p(X) = {beta_bar_value * px:.12g}"
         )
-    n = x.n
-    denom = (1.0 - 1.0 / beta_bar_value) ** ((n / 2.0) * (1.0 - 1.0 / p))
-    return float(np.prod(x.sigma) ** (1.0 / p) / (denom * x._det_c ** (1.0 / (2.0 * p))))
+    log_gap = math.log1p(-1.0 / beta_bar_value)
+    return math.exp(-x._log_det_k / (2.0 * p) - (x.n / 2.0) * (1.0 - 1.0 / p) * log_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +207,9 @@ class SimDiag:
     diagonalizes ``h`` = D (U^T diag(gamma) U) D.  The coefficients ``xi``
     are the per-column quadratic-form ratios
     <diag(gamma) r_j, r_j> / <C r_j, r_j>, stored ascending so that the
-    breakpoints 1/xi are descending.
+    breakpoints 1/xi are descending.  This is the paper's construction; no
+    output of this module reads it, since 1/xi is the spectrum of the
+    correlation matrix that ``GaussianVector`` caches.
     """
 
     u: np.ndarray
@@ -206,7 +221,11 @@ class SimDiag:
     xi: np.ndarray
 
 
-def _build_simdiag(x: GaussianVector) -> SimDiag:
+def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
+    """The R = U D V construction for this vector, built on request.
+
+    Two eigenvector-accumulating eigensolves; each call builds it anew.
+    """
     spec_c = matcore.sym_eigen(x.c)
     mu = spec_c.eigenvalues
     if mu[0] <= 0.0:
@@ -232,16 +251,12 @@ def _build_simdiag(x: GaussianVector) -> SimDiag:
     return SimDiag(u=u, mu=mu, d=d, h=h, v=v, r=r, xi=xi)
 
 
-def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
-    """The cached R = U D V construction for this vector."""
-    return x._simdiag
-
-
 def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:
     """Eigenvalues of diag(1/sigma) C diag(1/sigma), descending.
 
-    Computed with the Jacobi solver and without touching the U D V
-    construction, so it is an independent check on the multiset {1/xi_j}.
+    Computed with the Jacobi solver, sharing no code with the ``sym_eigen``
+    route behind the region and the constants, so it is an independent check
+    on the multiset {1/xi_j}.
     """
     k = x.c / np.outer(x.sigma, x.sigma)
     spec = matcore.jacobi_eigen(k)
@@ -308,7 +323,8 @@ class AdmissibleRegion:
 
 
 def admissible_region(xi) -> AdmissibleRegion:
-    """Build the admissible region from the coefficients xi (all > 0)."""
+    """Build the admissible region from the coefficients xi (all > 0), whose
+    reciprocals are the breakpoints."""
     arr = np.asarray(xi, dtype=float).ravel()
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidParameter("xi must be a nonempty list of positive finite reals")
@@ -347,21 +363,19 @@ def q_new(x: GaussianVector, p: float) -> float:
     """Region-based decoupling constant at exponent p.
 
     Q = (prod sigma_i)^(1/p) * det(C)^(-1/(2p))
-        * (prod_j |1 - 1/(p xi_j)|)^(-(1/2)(1-1/p)).
+        * (prod_j |1 - 1/(p xi_j)|)^(-(1/2)(1-1/p)),
+
+    evaluated in log space from the correlation eigenvalues lambda = 1/xi as
+    log Q = -sum(log lambda)/(2p) - (1/2)(1-1/p) sum(log|1 - lambda/p|).
 
     Raises NotInRegion when p is excluded or within the safety margin of a
     breakpoint (the constant diverges there).
     """
-    region = x._region
-    if not region.contains(p):
+    if not x._region.contains(p):
         raise NotInRegion(f"p={p} is not in the admissible region with margin")
-    xi = x._simdiag.xi
-    prod_factor = float(np.prod(np.abs(1.0 - 1.0 / (p * xi))))
-    return float(
-        np.prod(x.sigma) ** (1.0 / p)
-        * x._det_c ** (-1.0 / (2.0 * p))
-        * prod_factor ** (-0.5 * (1.0 - 1.0 / p))
-    )
+    lam = x._spectrum.eigenvalues
+    log_factor = float(np.sum(np.log(np.abs(1.0 - lam / p))))
+    return math.exp(-x._log_det_k / (2.0 * p) - 0.5 * (1.0 - 1.0 / p) * log_factor)
 
 
 def shifted_matrix(x: GaussianVector, p: float) -> np.ndarray:
@@ -371,7 +385,7 @@ def shifted_matrix(x: GaussianVector, p: float) -> np.ndarray:
 
 def det_identity_residual(x: GaussianVector, p: float) -> float:
     """Relative gap between det(p*diag(gamma) - C) computed by pivoted LU and
-    the closed form p^n * prod(gamma_i) * prod(1 - 1/(p xi_i)).
+    the closed form p^n * prod(gamma_i) * prod(1 - lambda_j/p).
 
     The identity holds for every p > 0, admissible or not; on well-conditioned
     inputs the residual stays below 1e-8.
@@ -379,8 +393,8 @@ def det_identity_residual(x: GaussianVector, p: float) -> float:
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
     lhs = matcore.lu_det(shifted_matrix(x, p))
-    xi = x._simdiag.xi
-    rhs = float(p ** x.n * np.prod(x.gamma) * np.prod(1.0 - 1.0 / (p * xi)))
+    lam = x._spectrum.eigenvalues
+    rhs = float(p ** x.n * np.prod(x.gamma) * np.prod(1.0 - lam / p))
     denom = max(abs(lhs), abs(rhs))
     return 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
 
@@ -389,14 +403,15 @@ def b_matrix(x: GaussianVector, p: float) -> np.ndarray:
     """The shifted precision matrix C^{-1} - (1/p) diag(1/gamma).
 
     Its determinant equals det(p*diag(gamma) - C) / (p^n det(C) prod gamma_j),
-    which the tests verify against the pivoted-LU route.
+    which the tests verify against the pivoted-LU route.  Built as
+    W diag(1/lambda - 1/p) W^T with W = diag(1/sigma) Q, since C^{-1} =
+    W diag(1/lambda) W^T and diag(1/gamma) = W W^T.
     """
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
-    low = x.cholesky_factor
-    eye = np.eye(x.n)
-    cinv = matcore.solve_upper(low.T, matcore.solve_lower(low, eye))
-    b = cinv - np.diag(1.0 / (p * x.gamma))
+    spec = x._spectrum
+    w = spec.eigenvectors / x.sigma[:, np.newaxis]
+    b = (w * (1.0 / spec.eigenvalues - 1.0 / p)) @ w.T
     return (b + b.T) / 2.0
 
 
@@ -406,8 +421,9 @@ class DecouplingReport:
 
     ``q_new`` is present iff ``in_region``; ``q_old`` is present iff a valid
     beta_bar exists and p >= beta_bar * p(X).  ``b_positive_definite`` records
-    whether all p*xi_j > 1, i.e. whether the shifted precision matrix is
-    positive definite rather than merely of positive determinant.
+    whether p exceeds every breakpoint lambda_j = 1/xi_j, i.e. whether the
+    shifted precision matrix is positive definite rather than merely of
+    positive determinant.
     """
 
     p: float
@@ -444,7 +460,6 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
     if not p > 1.0:
         raise InvalidParameter(f"p must exceed 1, got {p}")
     px = decoupling_coefficient(x)
-    xi = x._simdiag.xi
     in_region = x._region.contains(p)
     qn = q_new(x, p) if in_region else None
 
@@ -462,6 +477,6 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
         in_region=in_region,
         q_new=qn,
         q_old=qo,
-        b_positive_definite=bool(np.all(p * xi > 1.0)),
+        b_positive_definite=bool(p > x._spectrum.eigenvalues[-1]),
         identity_residual=det_identity_residual(x, p),
     )

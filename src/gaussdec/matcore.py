@@ -282,29 +282,6 @@ def cholesky(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     return low
 
 
-def solve_lower(low: np.ndarray, b) -> np.ndarray:
-    """Solve L x = b by forward substitution (vector or matrix right side)."""
-    l = np.asarray(low, dtype=float)
-    x = np.array(b, dtype=float)
-    n = l.shape[0]
-    for i in range(n):
-        if l[i, i] == 0.0:
-            raise InvalidParameter("singular triangular factor")
-        x[i] = (x[i] - l[i, :i] @ x[:i]) / l[i, i]
-    return x
-
-def solve_upper(up: np.ndarray, b) -> np.ndarray:
-    """Solve U x = b by back substitution (vector or matrix right side)."""
-    u = np.asarray(up, dtype=float)
-    x = np.array(b, dtype=float)
-    n = u.shape[0]
-    for i in range(n - 1, -1, -1):
-        if u[i, i] == 0.0:
-            raise InvalidParameter("singular triangular factor")
-        x[i] = (x[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
-    return x
-
-
 def lu_det(a) -> float:
     """Signed determinant by Gaussian elimination with partial pivoting.
 

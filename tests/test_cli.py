@@ -120,8 +120,9 @@ class TestExitCodes:
         assert run(["gen", "--family", '{"kind":"equicorrelated","n":3,"rho":-0.6}']) == 2
 
     def test_numerically_unusable_is_exit_3(self, tmp_path, capsys):
-        # det C underflows to 0.0 in linear space from n = 164 at rho = 0.99,
-        # and q_new then divides by zero; the log-space determinant is open.
+        # the constants are finite here, but det_identity_residual forms
+        # p ** n = 1e492 in linear space and overflows; the log-space
+        # residual is open.
         path = tmp_path / "equi.json"
         c = covgen.generate(covgen.Equicorrelated(164, 0.99))
         path.write_text(json.dumps(cli.matrix_to_document(c)))

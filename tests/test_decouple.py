@@ -209,6 +209,36 @@ class TestSimultaneousDiagonalization:
         det_ratio = matcore.lu_det(x.c) / float(np.prod(x.gamma))
         prod_inv = float(np.prod(inv_xi))
         assert abs(prod_inv - det_ratio) <= 1e-8 * max(abs(det_ratio), abs(prod_inv))
+        # the production path: the region's breakpoints, from sym_eigen of K
+        breakpoints = np.array(decouple.region_of(x).breakpoints)
+        assert np.max(np.abs(breakpoints - oracle)) <= 1e-10 * scale
+
+    def test_one_eigensolve_per_vector(self, monkeypatch):
+        c = covgen.generate(covgen.RandomSPD(6, seed=31, cond=25.0))
+        eig_calls = []
+        det_args = []
+        sym_eigen, lu_det = matcore.sym_eigen, matcore.lu_det
+
+        def counting_eigen(a, *args, **kwargs):
+            eig_calls.append(np.array(a))
+            return sym_eigen(a, *args, **kwargs)
+
+        def counting_det(a):
+            det_args.append(np.array(a))
+            return lu_det(a)
+
+        monkeypatch.setattr(matcore, "sym_eigen", counting_eigen)
+        monkeypatch.setattr(matcore, "lu_det", counting_det)
+        x = decouple.from_covariance(c)
+        decouple.region_of(x)
+        ps = (1.3, 2.5, 12.0)
+        reports = [decouple.analyze(x, p, beta=2.0) for p in ps]
+        assert reports[-1].q_new is not None and reports[-1].q_old is not None
+        assert len(eig_calls) == 1
+        assert len(det_args) == 3
+        for p, a in zip(ps, det_args):
+            np.testing.assert_array_equal(a, decouple.shifted_matrix(x, p))
+        assert not any(np.array_equal(a, x.c) for a in det_args)
 
 
 class TestCorrelationOracle:
@@ -398,6 +428,26 @@ class TestInvariances:
         assert decouple.q_old(y, p_old, bb) == pytest.approx(
             decouple.q_old(x, p_old, bb), rel=1e-9
         )
+
+
+class TestLogSpaceConstants:
+    def test_equicorrelated_200_is_finite(self):
+        # det C = 0.01^199 * 198.01 underflows in linear space, where q_new
+        # used to divide by zero; the constants are now sums of logs of the
+        # correlation eigenvalues.
+        x = decouple.from_covariance(covgen.generate(covgen.Equicorrelated(200, 0.99)))
+        p, bb = 1e3, 2.0
+        lam = np.linalg.eigvalsh(x.c / np.outer(x.sigma, x.sigma))
+        log_det_k = float(np.sum(np.log(lam)))
+        log_new = -log_det_k / (2 * p) - 0.5 * (1 - 1 / p) * float(
+            np.sum(np.log(np.abs(1 - lam / p)))
+        )
+        log_old = -log_det_k / (2 * p) - (x.n / 2) * (1 - 1 / p) * math.log1p(-1 / bb)
+        qn = decouple.q_new(x, p)
+        qo = decouple.q_old(x, p, bb)
+        assert math.isfinite(qn) and math.isfinite(qo)
+        assert qn == pytest.approx(math.exp(log_new), rel=1e-12)
+        assert qo == pytest.approx(math.exp(log_old), rel=1e-12)
 
 
 class TestAnalyze:

@@ -183,10 +183,3 @@ class TestValidation:
         m = matcore.symmetrize(a)
         assert m[0, 1] == m[1, 0]
 
-    def test_solve_triangular_roundtrip(self):
-        rng = np.random.default_rng(77)
-        a = random_spd(5, rng)
-        low = matcore.cholesky(a)
-        b = rng.standard_normal(5)
-        x = matcore.solve_upper(low.T, matcore.solve_lower(low, b))
-        assert np.max(np.abs(a @ x - b)) <= 1e-10 * max(1.0, matcore.max_abs(a))

@@ -1,0 +1,105 @@
+"""Property tests for invariants the paper implies.
+
+The breakpoints are the eigenvalues of the correlation matrix
+K = diag(1/sigma) C diag(1/sigma), so relabelling the coordinates (P C P^T)
+or rescaling them (D C D) leaves the region and the region constant
+unchanged, and region membership is the sign of det(p*diag(gamma) - C).
+Examples are derandomized so the suite is deterministic.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from gaussdec import decouple, matcore
+
+PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+# Probe exponents keep this relative distance from every breakpoint, so
+# rounding in the eigenvalues or the LU determinant cannot flip a verdict.
+PROBE_GAP = 1e-4
+RTOL = 1e-9
+
+
+@st.composite
+def covariances(draw):
+    """C = S (G G^T + I/10) S: positive definite, with variances spread by S."""
+    n = draw(st.integers(2, 8))
+    g = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    s = draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+    return (g @ g.T + 0.1 * np.eye(n)) * np.outer(s, s)
+
+
+def probes(region, extra=()):
+    """Interval midpoints (and ``extra``) at least PROBE_GAP from every breakpoint."""
+    points = [
+        iv.lo + 1.0 if math.isinf(iv.hi) else 0.5 * (iv.lo + iv.hi) for iv in region.intervals
+    ]
+    return [
+        p
+        for p in (*points, *extra)
+        if p > 1.0 and region.breakpoint_distance(p) > PROBE_GAP * max(1.0, p)
+    ]
+
+
+def assert_close(a, b, rtol=RTOL):
+    np.testing.assert_allclose(np.asarray(b), np.asarray(a), rtol=rtol, atol=rtol)
+
+
+@PROPERTY
+@given(data=st.data(), c=covariances())
+def test_permutation_invariance(data, c):
+    n = c.shape[0]
+    perm = data.draw(st.permutations(range(n)))
+    x = decouple.from_covariance(c)
+    y = decouple.from_covariance(c[np.ix_(perm, perm)])
+    rx, ry = decouple.region_of(x), decouple.region_of(y)
+    assert_close(rx.breakpoints, ry.breakpoints)
+    for p in probes(rx):
+        assert rx.contains(p) == ry.contains(p)
+        if rx.contains(p):
+            assert_close(decouple.q_new(x, p), decouple.q_new(y, p))
+    bb = 1.5
+    p_old = bb * decouple.decoupling_coefficient(x) + 0.5
+    assert_close(decouple.q_old(x, p_old, bb), decouple.q_old(y, p_old, bb))
+
+
+@PROPERTY
+@given(data=st.data(), c=covariances())
+def test_rescaling_invariance(data, c):
+    n = c.shape[0]
+    d = data.draw(arrays(np.float64, n, elements=st.floats(0.1, 10.0)))
+    x = decouple.from_covariance(c)
+    y = decouple.from_covariance(c * np.outer(d, d))
+    rx, ry = decouple.region_of(x), decouple.region_of(y)
+    assert_close(rx.breakpoints, ry.breakpoints)
+    for p in probes(rx):
+        if rx.contains(p):
+            assert_close(decouple.q_new(x, p), decouple.q_new(y, p))
+
+
+@PROPERTY
+@given(c=covariances(), p=st.floats(1.0, 50.0, exclude_min=True))
+def test_parity_is_determinant_sign(c, p):
+    x = decouple.from_covariance(c)
+    region = decouple.region_of(x)
+    for q in probes(region, extra=(p,)):
+        det = matcore.lu_det(decouple.shifted_matrix(x, q))
+        assert region.contains(q) == (det > 0.0)
+
+
+@PROPERTY
+@given(c=covariances(), p=st.floats(1.0, 1e6, exclude_min=True))
+def test_q_new_finite_where_admissible(c, p):
+    x = decouple.from_covariance(c)
+    region = decouple.region_of(x)
+    edges = [iv.lo + 2.0 * region.margin(iv.lo) for iv in region.intervals if iv.admissible]
+    candidates = [p, *edges, *probes(region)]
+    admissible = [q for q in candidates if region.contains(q)]
+    assert admissible  # the top interval is always admissible
+    for q in admissible:
+        value = decouple.q_new(x, q)
+        assert math.isfinite(value) and value > 0.0
