@@ -16,7 +16,7 @@ package to the shifted matrix p*diag(gamma) - C:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,24 +64,20 @@ def ostrowski_lower_bound(a) -> float:
     """prod_i (|a_ii| - sum_{j != i} |a_ij|) <= |det A|.
 
     Requires strict diagonal dominance in every row; raises NotApplicable
-    otherwise.
+    otherwise.  A product past the float range is inf, as in ``lu_det``.
     """
     prof = dominance_profile(a)
     if not prof.strictly_dominant:
         raise NotApplicable("matrix is not strictly diagonally dominant")
-    return float(np.prod(prof.diag_abs - prof.offdiag_rowsums))
+    with np.errstate(over="ignore"):
+        return float(np.prod(prof.diag_abs - prof.offdiag_rowsums))
 
 
 def cornerstone_bound(x: decouple.GaussianVector, p: float, beta_bar_value: float) -> float:
     """p^n (1 - 1/beta_bar)^n prod(sigma_i^2), a lower bound for
-    det(p*diag(gamma) - C) under p >= beta_bar * p(X) with beta_bar > 1."""
-    if beta_bar_value <= 1.0:
-        raise DegenerateBeta(f"beta_bar must exceed 1, got {beta_bar_value}")
-    px = decouple.decoupling_coefficient(x)
-    if p < beta_bar_value * px:
-        raise NotAdmissibleClassical(
-            f"p={p} is below beta_bar * p(X) = {beta_bar_value * px:.12g}"
-        )
+    det(p*diag(gamma) - C) under the classical hypothesis, which
+    ``decouple.check_classical`` enforces."""
+    decouple.check_classical(x, p, beta_bar_value)
     n = x.n
     return float(p**n * (1.0 - 1.0 / beta_bar_value) ** n * np.prod(x.gamma))
 
@@ -93,56 +89,22 @@ class TausskyVerdict(enum.Enum):
 
 def _strongly_connected(m: np.ndarray) -> bool:
     """Strong connectivity of the digraph with an edge i -> j when a_ij != 0
-    (i != j), decided by an iterative Tarjan scan.  Exact zero test: the
-    pattern is combinatorial, no tolerance applies."""
-    n = m.shape[0]
-    if n == 1:
-        return True
-    adj = [[j for j in range(n) if j != i and m[i, j] != 0.0] for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    scc_count = 0
-    next_index = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = next_index
-        next_index += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if index[child] == -1:
-                    index[child] = low[child] = next_index
-                    next_index += 1
-                    stack.append(child)
-                    on_stack[child] = True
-                    work.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-                if on_stack[child]:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc_count += 1
-                if scc_count > 1:
-                    return False
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == node:
-                        break
-    return scc_count == 1
+    (i != j): every node is reachable from node 0 both along the edges and
+    against them, found by boolean frontier sweeps.  The diagonal is read
+    too, but a self-loop reaches nothing new.  Exact zero test: the pattern
+    is combinatorial, no tolerance applies."""
+    edges = m != 0.0
+    return _reaches_all(edges) and _reaches_all(edges.T)
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def taussky_test(a) -> TausskyVerdict:
@@ -178,13 +140,7 @@ class BoundsReport:
     actual_det: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "strictly_dominant": self.strictly_dominant,
-            "ostrowski_bound": self.ostrowski_bound,
-            "taussky_verdict": self.taussky_verdict,
-            "cornerstone_bound": self.cornerstone_bound,
-            "actual_det": self.actual_det,
-        }
+        return asdict(self)
 
 
 def report(x: decouple.GaussianVector, p: float, beta: float = 1.0) -> BoundsReport:

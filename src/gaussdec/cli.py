@@ -10,9 +10,10 @@ CSV (n comma-separated lines).  Structured reports are JSON; sweeps are CSV.
 Every command is deterministic given its arguments (and seed).
 
 Exit codes: 0 success; 2 invalid input; 3 covariance not positive definite
-(or numerically unusable); 4 verification inequality failed; 5 exponent not
-admissible for the requested constant.  Set GAUSSDEC_LOG=debug|info|... for
-diagnostics on standard error.
+(or numerically unusable: an overflow, or a NaN or infinity in a JSON
+report); 4 verification inequality failed; 5 exponent not admissible for the
+requested constant.  Set GAUSSDEC_LOG=debug|info|... for diagnostics on
+standard error.
 """
 
 from __future__ import annotations
@@ -100,8 +101,25 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+def _read_json_file(path: str):
+    """Parse the JSON file at ``path``; an unreadable or malformed file is
+    invalid input, reported with its path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path}: malformed JSON: {exc}") from exc
+
+
 def _emit_json(obj, output: str | None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", output)
+    """Write ``obj`` as JSON.  A NaN or infinity has no JSON form: it makes
+    the result numerically unusable and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"result is not finite: {exc}") from exc
+    _write(text + "\n", output)
 
 
 def _fmt12(v: float) -> str:
@@ -145,13 +163,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     x = _load_vector(args.input)
-    try:
-        doc = json.loads(Path(args.functions).read_text())
-    except OSError as exc:
-        raise InvalidParameter(f"cannot read {args.functions}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{args.functions}: malformed JSON: {exc}") from exc
-    fs = verify_mod.parse_test_functions(doc)
+    fs = verify_mod.parse_test_functions(_read_json_file(args.functions))
     result = verify_mod.check_inequality(
         x,
         fs,
@@ -248,12 +260,7 @@ def _csv_cell(v) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = json.loads(Path(args.spec).read_text())
-    except OSError as exc:
-        raise InvalidParameter(f"cannot read {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{args.spec}: malformed JSON: {exc}") from exc
+    spec = _read_json_file(args.spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
@@ -264,16 +271,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    text = args.family
-    if text.startswith("@"):
+    if args.family.startswith("@"):
+        doc = _read_json_file(args.family[1:])
+    else:
         try:
-            text = Path(text[1:]).read_text()
-        except OSError as exc:
-            raise InvalidParameter(f"cannot read {text[1:]}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"malformed family JSON: {exc}") from exc
+            doc = json.loads(args.family)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameter(f"malformed family JSON: {exc}") from exc
     m = covgen.generate(covgen.family_from_json(doc))
     _emit_json(matrix_to_document(m), args.output)
     return EXIT_OK

@@ -36,7 +36,7 @@ determinant by ``det_identity_residual``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -180,13 +180,16 @@ def optimal_beta_bar(x: GaussianVector, p: float) -> float:
     return cap
 
 
-def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
-    """Classical decoupling constant at exponent p.
+def classical_beta_bar(x: GaussianVector, p: float, beta: float | None) -> float:
+    """The beta_bar of the classical route: ``beta_bar(x, beta)`` for a fixed
+    ``beta``, ``optimal_beta_bar(x, p)`` when ``beta`` is None."""
+    return beta_bar(x, beta) if beta is not None else optimal_beta_bar(x, p)
 
-    Q = (prod sigma_i)^(1/p) / [ (1 - 1/beta_bar)^((n/2)(1-1/p)) det(C)^(1/(2p)) ],
-    valid under p >= beta_bar * p(X) with beta_bar > 1.  Evaluated in log
-    space as log Q = -sum(log lambda)/(2p) - (n/2)(1-1/p) log(1 - 1/beta_bar).
-    """
+
+def check_classical(x: GaussianVector, p: float, beta_bar_value: float) -> None:
+    """The classical hypothesis beta_bar > 1 and p >= beta_bar * p(X), shared
+    by ``q_old`` and the cornerstone bound.  Raises DegenerateBeta or
+    NotAdmissibleClassical when it fails."""
     if beta_bar_value <= 1.0:
         raise DegenerateBeta(f"beta_bar must exceed 1, got {beta_bar_value}")
     px = decoupling_coefficient(x)
@@ -194,6 +197,16 @@ def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
         raise NotAdmissibleClassical(
             f"p={p} is below beta_bar * p(X) = {beta_bar_value * px:.12g}"
         )
+
+
+def q_old(x: GaussianVector, p: float, beta_bar_value: float) -> float:
+    """Classical decoupling constant at exponent p.
+
+    Q = (prod sigma_i)^(1/p) / [ (1 - 1/beta_bar)^((n/2)(1-1/p)) det(C)^(1/(2p)) ],
+    valid under the classical hypothesis (``check_classical``).  Evaluated in
+    log space as log Q = -sum(log lambda)/(2p) - (n/2)(1-1/p) log(1 - 1/beta_bar).
+    """
+    check_classical(x, p, beta_bar_value)
     log_gap = math.log1p(-1.0 / beta_bar_value)
     return math.exp(-x._log_det_k / (2.0 * p) - (x.n / 2.0) * (1.0 - 1.0 / p) * log_gap)
 
@@ -436,16 +449,7 @@ class DecouplingReport:
     identity_residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "p_of_X": self.p_of_X,
-            "beta_bar": self.beta_bar,
-            "in_region": self.in_region,
-            "q_new": self.q_new,
-            "q_old": self.q_old,
-            "b_positive_definite": self.b_positive_definite,
-            "identity_residual": self.identity_residual,
-        }
+        return asdict(self)
 
 
 def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> DecouplingReport:
@@ -453,26 +457,24 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
     their hypotheses hold, and the determinant-identity residual.
 
     Inadmissibility never raises here; the corresponding fields are None.
-    The classical route uses beta_bar = max(variance ratio, beta) for a
-    fixed ``beta`` >= 1, and the constant-minimizing ``optimal_beta_bar``
-    when ``beta`` is None.
+    The classical route takes its beta_bar from ``classical_beta_bar``;
+    ``beta_bar`` is reported even when p is below its threshold.
     """
     if not p > 1.0:
         raise InvalidParameter(f"p must exceed 1, got {p}")
-    px = decoupling_coefficient(x)
     in_region = x._region.contains(p)
     qn = q_new(x, p) if in_region else None
 
-    bb: float | None
+    bb = qo = None
     try:
-        bb = beta_bar(x, beta) if beta is not None else optimal_beta_bar(x, p)
+        bb = classical_beta_bar(x, p, beta)
+        qo = q_old(x, p, bb)
     except (DegenerateBeta, NotAdmissibleClassical):
-        bb = None
-    qo = q_old(x, p, bb) if bb is not None and p >= bb * px else None
+        pass
 
     return DecouplingReport(
         p=float(p),
-        p_of_X=px,
+        p_of_X=decoupling_coefficient(x),
         beta_bar=bb,
         in_region=in_region,
         q_new=qn,

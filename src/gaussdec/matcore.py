@@ -28,8 +28,6 @@ from .errors import (
 
 # Desk-scale double-precision tolerances (n up to a few hundred).
 SYM_TOL = 1e-12
-ORTH_TOL = 1e-10
-RESID_TOL = 1e-10
 PIVOT_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
@@ -297,7 +295,7 @@ def lu_det(a) -> float:
         if piv != k:
             m[[k, piv], :] = m[[piv, k], :]
             det = -det
-        det *= m[k, k]
+        det *= float(m[k, k])
         if k + 1 < n:
             factors = m[k + 1 :, k] / m[k, k]
             m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])

@@ -297,12 +297,7 @@ def check_inequality(
     if constant == "new":
         q = decouple.q_new(x, p)
     elif constant == "old":
-        bb = (
-            decouple.beta_bar(x, beta)
-            if beta is not None
-            else decouple.optimal_beta_bar(x, p)
-        )
-        q = decouple.q_old(x, p, bb)
+        q = decouple.q_old(x, p, decouple.classical_beta_bar(x, p, beta))
     else:
         raise InvalidParameter(f"constant must be 'new' or 'old', got {constant!r}")
     rhs = q

@@ -1,11 +1,13 @@
 """Dominance profiles, the Ostrowski product bound, the irreducible weak-
 dominance certificate, and the classical cornerstone lower bound."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gaussdec import bounds, covgen, decouple, matcore
-from gaussdec.errors import NotAdmissibleClassical, NotApplicable
+from gaussdec.errors import DegenerateBeta, GaussdecError, NotAdmissibleClassical, NotApplicable
 
 TRIDIAG = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]
 
@@ -131,6 +133,88 @@ class TestTaussky:
             if bounds.taussky_test(a) is bounds.TausskyVerdict.NONSINGULAR:
                 scale = max(1.0, matcore.max_abs(a))
                 assert abs(matcore.lu_det(a)) > n * np.finfo(float).eps * scale**n
+
+
+def _closure_connected(pattern: np.ndarray) -> bool:
+    """Strong connectivity by transitive closure: every entry of
+    (I + A)^(n-1) is positive, A the off-diagonal pattern, computed as
+    repeated boolean products."""
+    n = pattern.shape[0]
+    step = (pattern | np.eye(n, dtype=bool)).astype(np.int64)
+    reach = np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
+        reach = np.minimum(reach @ step, 1)
+    return bool(np.all(reach > 0))
+
+
+def _dominant_with_pattern(pattern: np.ndarray, rng) -> np.ndarray:
+    """A strictly dominant matrix whose off-diagonal nonzeros are exactly
+    ``pattern``, so the Taussky verdict turns on connectivity alone."""
+    n = pattern.shape[0]
+    a = np.where(pattern, rng.uniform(0.5, 2.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 0.0)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, np.sum(np.abs(a), axis=1) + 1.0)
+    return a
+
+
+class TestTausskyAgainstClosure:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_random_patterns(self, symmetric):
+        rng = np.random.default_rng(4040 + symmetric)
+        connected = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            pattern = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            if symmetric:
+                pattern = np.triu(pattern, 1)
+                pattern = pattern | pattern.T
+            expected = _closure_connected(pattern)
+            connected += expected
+            verdict = bounds.taussky_test(_dominant_with_pattern(pattern, rng))
+            assert (verdict is bounds.TausskyVerdict.NONSINGULAR) == expected
+        assert 40 < connected < 360  # both verdicts are exercised
+
+    def test_single_node(self):
+        pattern = np.zeros((1, 1), dtype=bool)
+        assert _closure_connected(pattern)
+        a = _dominant_with_pattern(pattern, np.random.default_rng(0))
+        assert bounds.taussky_test(a) is bounds.TausskyVerdict.NONSINGULAR
+
+    def test_path_graph_of_64_nodes(self):
+        forward = np.eye(64, k=1, dtype=bool)
+        rng = np.random.default_rng(64)
+        for pattern, expected in ((forward | forward.T, True), (forward, False)):
+            assert _closure_connected(pattern) is expected
+            verdict = bounds.taussky_test(_dominant_with_pattern(pattern, rng))
+            assert (verdict is bounds.TausskyVerdict.NONSINGULAR) is expected
+        cut = forward | forward.T
+        cut[31, 32] = cut[32, 31] = False
+        assert not _closure_connected(cut)
+        assert bounds.taussky_test(_dominant_with_pattern(cut, rng)) is (
+            bounds.TausskyVerdict.NOT_APPLICABLE
+        )
+
+
+class TestClassicalHypothesis:
+    # p(X) = 1.5, so beta_bar = 1.5 puts the threshold at 2.25 exactly.
+    @pytest.mark.parametrize(
+        "bb, p, expected",
+        [
+            (1.0, 3.0, DegenerateBeta),
+            (1.5, math.nextafter(2.25, 0.0), NotAdmissibleClassical),
+            (1.5, 2.25, None),
+        ],
+    )
+    def test_q_old_and_cornerstone_agree(self, bb, p, expected):
+        x = decouple.from_covariance([[1.0, 0.5], [0.5, 1.0]])
+        outcomes = []
+        for f in (decouple.q_old, bounds.cornerstone_bound):
+            try:
+                f(x, p, bb)
+                outcomes.append(None)
+            except GaussdecError as exc:
+                outcomes.append(type(exc))
+        assert outcomes == [expected, expected]
 
 
 class TestConsistencyWithExactValue:

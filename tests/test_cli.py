@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,53 @@ class TestExitCodes:
     def test_no_command_is_exit_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def equi164_file(tmp_path_factory):
+    # Equicorrelated(164, 0.99): determinants of p*diag(gamma) - C leave
+    # the float range at moderate p.
+    path = tmp_path_factory.mktemp("equi164") / "equi.json"
+    c = covgen.generate(covgen.Equicorrelated(164, 0.99))
+    path.write_text(json.dumps(cli.matrix_to_document(c)))
+    return str(path)
+
+
+class TestNonFiniteResults:
+    def test_overflow_is_exit_3_without_a_warning(self, equi164_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["analyze", "--input", equi164_file, "--p", "1e3"]) == 3
+        assert "numerically unusable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["200", "1e3"])
+    def test_infinite_determinant_is_exit_3_with_empty_stdout(self, equi164_file, capsys, p):
+        assert run(["bounds", "--input", equi164_file, "--p", p]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerically unusable" in captured.err
+
+    def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run(["bounds", "--input", equi164_file, "--p", "200",
+                    "--output", str(out)]) == 3
+        assert not out.exists()
+
+
+class TestJsonFileArguments:
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize("command", ["verify", "sweep", "gen"])
+    def test_bad_file_is_exit_2_naming_it(self, equi_file, tmp_path, capsys, command, content):
+        path = tmp_path / "arg.json"
+        if content is not None:
+            path.write_text(content)
+        args = {
+            "verify": ["verify", "--input", equi_file, "--p", "3", "--functions", str(path)],
+            "sweep": ["sweep", "--spec", str(path)],
+            "gen": ["gen", "--family", f"@{path}"],
+        }[command]
+        assert run(args) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestRegion:
