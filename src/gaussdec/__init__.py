@@ -63,6 +63,7 @@ from .matcore import (
     jacobi_eigen,
     lu_det,
     sym_eigen,
+    sym_eigvals,
 )
 from .verify import (
     GaussBump,

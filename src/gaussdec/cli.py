@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -283,7 +284,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and in-process callers of ``main`` skip rebuilding the tree."""
     parser = argparse.ArgumentParser(
         prog="gaussdec",
         description="Decoupling constants, admissible exponent regions and "

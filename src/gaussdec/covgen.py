@@ -136,7 +136,7 @@ def _gen_random_spd(fam: RandomSPD) -> np.ndarray:
     base = g.T @ g
     base += _RANDOM_SPD_EPS * matcore.max_abs(base) * np.eye(fam.n)
     base = (base + base.T) / 2.0
-    eigs = matcore.sym_eigen(base).eigenvalues
+    eigs = matcore.sym_eigvals(base)
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     _require(lmax > lmin, "randomspd spectrum is degenerate; try another seed")
     # Affine spectral shift: cond((A + c I)) = target exactly.

@@ -14,10 +14,12 @@ different constants Q:
   eigenvalues lambda_j of the correlation matrix
   K = diag(1/sigma) C diag(1/sigma).
 
-Every output here comes from one eigendecomposition K = Q diag(lambda) Q^T,
-computed once per vector: the breakpoints 1/xi_j = lambda_j, the region,
-and both constants, which depend on C only through lambda because
-det C = prod(gamma_i) * prod(lambda_j).  The paper's construction
+Every output here comes from the eigenvalues lambda of K, computed once per
+vector by the values-only solver ``matcore.sym_eigvals``: the breakpoints
+1/xi_j = lambda_j, the region, and both constants, which depend on C only
+through lambda because det C = prod(gamma_i) * prod(lambda_j).  Only
+``b_matrix`` needs the eigenvectors Q of K = Q diag(lambda) Q^T; they are
+computed, once, when it first asks.  The paper's construction
 R = U D V from two symmetric eigendecompositions is built on request by
 ``simultaneous_diagonalization``; the tests check its defining relations,
 and ``correlation_eigs_oracle`` checks lambda with an independent solver.
@@ -68,9 +70,10 @@ class GaussianVector:
     ``c`` is stored exactly symmetric and certified positive definite by its
     lower Cholesky factor ``cholesky_factor``; ``gamma`` holds the variances
     diag(C) and ``sigma`` their square roots.  Instances are immutable.  The
-    spectrum of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
-    which gives xi, the region and both constants, is computed once on first
-    use and cached.
+    eigenvalues of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
+    which give xi, the region and both constants, are computed once on first
+    use and cached; its eigenvectors are computed and cached only for
+    ``b_matrix``.
     """
 
     c: np.ndarray
@@ -82,21 +85,31 @@ class GaussianVector:
     def n(self) -> int:
         return self.c.shape[0]
 
+    def _correlation(self) -> np.ndarray:
+        """K = diag(1/sigma) C diag(1/sigma)."""
+        return self.c / np.outer(self.sigma, self.sigma)
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The eigenvalues lambda of K, ascending and all positive."""
+        lam = matcore.sym_eigvals(self._correlation())
+        if lam[0] <= 0.0:
+            raise NotPositiveDefinite("correlation eigenvalues are not all positive")
+        return lam
+
     @cached_property
     def _spectrum(self) -> matcore.Spectrum:
-        """K = Q diag(lambda) Q^T, lambda ascending and all positive."""
-        spec = matcore.sym_eigen(self.c / np.outer(self.sigma, self.sigma))
-        if spec.eigenvalues[0] <= 0.0:
-            raise NotPositiveDefinite("correlation eigenvalues are not all positive")
-        return spec
+        """K = Q diag(lambda) Q^T, for ``b_matrix`` alone; its eigenvalues
+        are the bits of ``_eigenvalues``."""
+        return matcore.sym_eigen(self._correlation())
 
     @cached_property
     def _log_det_k(self) -> float:
-        return float(np.sum(np.log(self._spectrum.eigenvalues)))
+        return float(np.sum(np.log(self._eigenvalues)))
 
     @cached_property
     def _region(self) -> "AdmissibleRegion":
-        return admissible_region(1.0 / self._spectrum.eigenvalues)
+        return admissible_region(1.0 / self._eigenvalues)
 
 
 def from_covariance(c) -> GaussianVector:
@@ -221,7 +234,7 @@ class SimDiag:
     are the per-column quadratic-form ratios
     <diag(gamma) r_j, r_j> / <C r_j, r_j>, stored ascending so that the
     breakpoints 1/xi are descending.  This is the paper's construction; no
-    output of this module reads it, since 1/xi is the spectrum of the
+    output of this module reads it, since 1/xi are the eigenvalues of the
     correlation matrix that ``GaussianVector`` caches.
     """
 
@@ -267,12 +280,11 @@ def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
 def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:
     """Eigenvalues of diag(1/sigma) C diag(1/sigma), descending.
 
-    Computed with the Jacobi solver, sharing no code with the ``sym_eigen``
+    Computed with the Jacobi solver, sharing no code with the ``sym_eigvals``
     route behind the region and the constants, so it is an independent check
     on the multiset {1/xi_j}.
     """
-    k = x.c / np.outer(x.sigma, x.sigma)
-    spec = matcore.jacobi_eigen(k)
+    spec = matcore.jacobi_eigen(x._correlation())
     out = spec.eigenvalues[::-1].copy()
     out.setflags(write=False)
     return out
@@ -386,7 +398,7 @@ def q_new(x: GaussianVector, p: float) -> float:
     """
     if not x._region.contains(p):
         raise NotInRegion(f"p={p} is not in the admissible region with margin")
-    lam = x._spectrum.eigenvalues
+    lam = x._eigenvalues
     log_factor = float(np.sum(np.log(np.abs(1.0 - lam / p))))
     return math.exp(-x._log_det_k / (2.0 * p) - 0.5 * (1.0 - 1.0 / p) * log_factor)
 
@@ -406,7 +418,7 @@ def det_identity_residual(x: GaussianVector, p: float) -> float:
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
     lhs = matcore.lu_det(shifted_matrix(x, p))
-    lam = x._spectrum.eigenvalues
+    lam = x._eigenvalues
     rhs = float(p ** x.n * np.prod(x.gamma) * np.prod(1.0 - lam / p))
     denom = max(abs(lhs), abs(rhs))
     return 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
@@ -422,9 +434,8 @@ def b_matrix(x: GaussianVector, p: float) -> np.ndarray:
     """
     if not p > 0.0:
         raise InvalidParameter(f"p must be positive, got {p}")
-    spec = x._spectrum
-    w = spec.eigenvectors / x.sigma[:, np.newaxis]
-    b = (w * (1.0 / spec.eigenvalues - 1.0 / p)) @ w.T
+    w = x._spectrum.eigenvectors / x.sigma[:, np.newaxis]
+    b = (w * (1.0 / x._eigenvalues - 1.0 / p)) @ w.T
     return (b + b.T) / 2.0
 
 
@@ -479,6 +490,6 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
         in_region=in_region,
         q_new=qn,
         q_old=qo,
-        b_positive_definite=bool(p > x._spectrum.eigenvalues[-1]),
+        b_positive_definite=bool(p > x._eigenvalues[-1]),
         identity_residual=det_identity_residual(x, p),
     )

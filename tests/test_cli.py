@@ -189,6 +189,38 @@ class TestJsonFileArguments:
         assert str(path) in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_alternating_calls_match_a_fresh_parser(self, equi_file, capsys, monkeypatch):
+        calls = [
+            ["analyze", "--input", equi_file, "--p", "3", "--optimal-beta"],
+            ["analyze", "--input", equi_file, "--p", "3"],
+            ["analyze", "--input", equi_file, "--p", "three"],
+            ["region", "--input", equi_file, "--format", "json"],
+            ["analyze", "--input", equi_file, "--p", "2.5", "--beta", "2"],
+            ["region", "--input", equi_file],
+            ["bounds", "--input", equi_file, "--p", "4"],
+            ["analyze", "--input", equi_file, "--p", "3"],
+        ]
+
+        def outcomes():
+            results = []
+            for argv in calls:
+                code = cli.main(argv)
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        cached = outcomes()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cached == outcomes()
+        assert [code for code, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 0]
+        assert json.loads(cached[0][1])["q_old"] is not None
+        assert json.loads(cached[1][1])["q_old"] is None
+        assert cached[1] == cached[-1]
+
+
 class TestRegion:
     def test_text_format(self, equi_file, tmp_path):
         out = tmp_path / "region.txt"

@@ -79,6 +79,21 @@ class TestRandomSPD:
         b = covgen.generate(covgen.RandomSPD(6, seed=42, cond=30.0))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n,seed,cond", [(2, 0, 5.0), (7, 3, 30.0), (24, 11, 1e3), (64, 5, 200.0)])
+    def test_values_only_spectrum_gives_the_same_bytes(self, n, seed, cond):
+        # the matrix built from the eigenvector-accumulating solver's spectrum
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        base = g.T @ g
+        base += covgen._RANDOM_SPD_EPS * matcore.max_abs(base) * np.eye(n)
+        base = (base + base.T) / 2.0
+        eigs = matcore.sym_eigen(base).eigenvalues
+        lmin, lmax = float(eigs[0]), float(eigs[-1])
+        m = base + (lmax - cond * lmin) / (cond - 1.0) * np.eye(n)
+        expected = (m + m.T) / 2.0
+        got = covgen.generate(covgen.RandomSPD(n, seed, cond))
+        assert got.tobytes() == expected.tobytes()
+
     def test_different_seeds_differ(self):
         a = covgen.generate(covgen.RandomSPD(6, seed=1))
         b = covgen.generate(covgen.RandomSPD(6, seed=2))

@@ -215,30 +215,41 @@ class TestSimultaneousDiagonalization:
 
     def test_one_eigensolve_per_vector(self, monkeypatch):
         c = covgen.generate(covgen.RandomSPD(6, seed=31, cond=25.0))
-        eig_calls = []
+        calls = {"sym_eigvals": 0, "sym_eigen": 0}
         det_args = []
-        sym_eigen, lu_det = matcore.sym_eigen, matcore.lu_det
+        lu_det = matcore.lu_det
 
-        def counting_eigen(a, *args, **kwargs):
-            eig_calls.append(np.array(a))
-            return sym_eigen(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(matcore, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
 
         def counting_det(a):
             det_args.append(np.array(a))
             return lu_det(a)
 
-        monkeypatch.setattr(matcore, "sym_eigen", counting_eigen)
+        for name in calls:
+            monkeypatch.setattr(matcore, name, counting(name))
         monkeypatch.setattr(matcore, "lu_det", counting_det)
         x = decouple.from_covariance(c)
         decouple.region_of(x)
         ps = (1.3, 2.5, 12.0)
         reports = [decouple.analyze(x, p, beta=2.0) for p in ps]
         assert reports[-1].q_new is not None and reports[-1].q_old is not None
-        assert len(eig_calls) == 1
+        assert calls == {"sym_eigvals": 1, "sym_eigen": 0}
         assert len(det_args) == 3
         for p, a in zip(ps, det_args):
             np.testing.assert_array_equal(a, decouple.shifted_matrix(x, p))
         assert not any(np.array_equal(a, x.c) for a in det_args)
+        # the eigenvectors are computed once, for b_matrix alone
+        decouple.b_matrix(x, 2.5)
+        assert calls == {"sym_eigvals": 1, "sym_eigen": 1}
+        decouple.b_matrix(x, 12.0)
+        assert calls == {"sym_eigvals": 1, "sym_eigen": 1}
 
 
 class TestCorrelationOracle:

@@ -8,8 +8,8 @@ residual checks, pins both down without any external reference.
 import numpy as np
 import pytest
 
-from gaussdec import matcore
-from gaussdec.errors import InvalidParameter, NotPositiveDefinite, NotSymmetric
+from gaussdec import covgen, matcore
+from gaussdec.errors import InvalidParameter, NonConvergence, NotPositiveDefinite, NotSymmetric
 
 ORTH_TOL = 1e-10
 RESID_TOL = 1e-10
@@ -70,6 +70,47 @@ class TestSymEigen:
     def test_antidiagonal(self):
         spec = matcore.sym_eigen([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+
+
+def _eigvals_cases():
+    rng = np.random.default_rng(77)
+    yield "n=1", np.array([[2.5]])
+    yield "n=2", np.array([[1.0, 0.5], [0.5, 1.0]])
+    yield "n=3", random_symmetric(3, rng)
+    yield "diagonal", np.diag([3.0, -1.0, 2.0, 2.0, 0.0])
+    yield "tridiagonal", np.diag([2.0] * 6) + np.diag([1.0] * 5, 1) + np.diag([1.0] * 5, -1)
+    yield "equicorrelated", covgen.generate(covgen.Equicorrelated(40, 0.5))
+    for n, seed in ((5, 1), (17, 2), (40, 3), (64, 4)):
+        yield f"randomspd-{n}", covgen.generate(covgen.RandomSPD(n, seed, 1e3))
+
+
+EIGVALS_CASES = list(_eigvals_cases())
+
+
+class TestSymEigvals:
+    @pytest.mark.parametrize("name,a", EIGVALS_CASES, ids=[c[0] for c in EIGVALS_CASES])
+    def test_bits_equal_sym_eigen(self, name, a):
+        vals = matcore.sym_eigvals(a)
+        assert np.array_equal(vals, matcore.sym_eigen(a).eigenvalues)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert not vals.flags.writeable
+
+    @pytest.mark.parametrize("name,a", EIGVALS_CASES, ids=[c[0] for c in EIGVALS_CASES])
+    def test_agrees_with_jacobi(self, name, a):
+        vals = matcore.sym_eigvals(a)
+        oracle = matcore.jacobi_eigen(a).eigenvalues
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(vals - oracle)) <= 1e-10 * scale
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NotSymmetric):
+            matcore.sym_eigvals([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("solver", [matcore.sym_eigvals, matcore.sym_eigen])
+    def test_iteration_cap_raises(self, monkeypatch, solver):
+        monkeypatch.setattr(matcore, "_QL_MAX_ITER", 0)
+        with pytest.raises(NonConvergence):
+            solver([[1.0, 0.5], [0.5, 1.0]])
 
 
 class TestJacobiEigen:

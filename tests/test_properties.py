@@ -4,17 +4,21 @@ The breakpoints are the eigenvalues of the correlation matrix
 K = diag(1/sigma) C diag(1/sigma), so relabelling the coordinates (P C P^T)
 or rescaling them (D C D) leaves the region and the region constant
 unchanged, and region membership is the sign of det(p*diag(gamma) - C).
-Examples are derandomized so the suite is deterministic.
+The command line answers every finite square matrix with a documented exit
+code.  Examples are derandomized so the suite is deterministic.
 """
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaussdec import decouple, matcore
+from gaussdec import cli, decouple, matcore
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -103,3 +107,38 @@ def test_q_new_finite_where_admissible(c, p):
     for q in admissible:
         value = decouple.q_new(x, q)
         assert math.isfinite(value) and value > 0.0
+
+
+@st.composite
+def square_matrices(draw):
+    """Finite n x n matrices: positive definite, near singular, symmetric
+    (often indefinite, with zero or negative diagonal) or asymmetric."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("spd", "near-singular", "symmetric", "asymmetric")))
+    g = draw(arrays(np.float64, (n, n), elements=st.floats(-10.0, 10.0)))
+    if kind == "spd":
+        return g @ g.T + 0.1 * np.eye(n)
+    if kind == "near-singular":
+        v = g[:, :1]
+        return v @ v.T + 1e-9 * np.eye(n)
+    if kind == "symmetric":
+        return (g + g.T) / 2.0
+    return g
+
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(m=square_matrices(), p=st.floats(0.5, 50.0, exclude_min=True, exclude_max=True))
+def test_cli_exit_codes_are_documented(m, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps({"n": m.shape[0], "rows": m.tolist()}))
+        out = str(Path(tmp) / "out")
+        for argv in (
+            ["analyze", "--input", str(path), "--p", repr(p)],
+            ["region", "--input", str(path), "--format", "json"],
+            ["bounds", "--input", str(path), "--p", repr(p)],
+        ):
+            assert cli.main([*argv, "--output", out]) in DOCUMENTED_EXIT_CODES
