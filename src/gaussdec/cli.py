@@ -173,7 +173,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         constant=args.constant,
         beta=args.beta,
-        nodes=args.nodes,
     )
     _emit_json(result.to_json_dict(), args.output)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--functions", required=True, help="JSON array of test functions")
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--nodes", type=int, default=64)
     p_verify.add_argument("--constant", choices=("new", "old"), default="new")
     p_verify.add_argument(
         "--beta",

@@ -93,6 +93,18 @@ class TestExitCodes:
                     "--seed", "1", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_verify_nodes_flag_is_gone(self, equi_file, functions_file, tmp_path, capsys):
+        # the p-norms are closed forms, so there is no quadrature to size
+        args = ["verify", "--input", equi_file, "--p", "3", "--functions", functions_file,
+                "--samples", "20000"]
+        out = tmp_path / "v.json"
+        assert run(args + ["--nodes", "64", "--output", str(out)]) == 2
+        assert not out.exists()
+        capsys.readouterr()
+        assert run(args + ["--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is True and doc["samples"] == 20000
+
     def test_verify_not_in_region_is_exit_5(self, equi_file, functions_file):
         assert run(["verify", "--input", equi_file, "--p", "1.2",
                     "--functions", functions_file, "--samples", "20000"]) == 5

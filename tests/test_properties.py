@@ -4,8 +4,10 @@ The breakpoints are the eigenvalues of the correlation matrix
 K = diag(1/sigma) C diag(1/sigma), so relabelling the coordinates (P C P^T)
 or rescaling them (D C D) leaves the region and the region constant
 unchanged, and region membership is the sign of det(p*diag(gamma) - C).
-The command line answers every finite square matrix with a documented exit
-code.  Examples are derandomized so the suite is deterministic.
+Marginal p-norms are nondecreasing in p (Lyapunov) and scale with sigma as
+the test functions do.  The command line answers every finite square matrix
+with a documented exit code.  Examples are derandomized so the suite is
+deterministic.
 """
 
 import json
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaussdec import cli, decouple, matcore
+from gaussdec import cli, decouple, matcore, verify
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -107,6 +109,49 @@ def test_q_new_finite_where_admissible(c, p):
     for q in admissible:
         value = decouple.q_new(x, q)
         assert math.isfinite(value) and value > 0.0
+
+
+@st.composite
+def marginal_functions(draw):
+    """Indicators with finite or infinite ends in +-12, GaussBump and PolyGauss
+    with s in [0.1, 10] and k <= 6."""
+    kind = draw(st.sampled_from(("indicator", "gaussbump", "polygauss")))
+    if kind == "indicator":
+        ends = sorted(draw(st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2, unique=True)))
+        a = -math.inf if draw(st.booleans()) else ends[0]
+        b = math.inf if draw(st.booleans()) else ends[1]
+        return verify.Indicator(a, b)
+    s = draw(st.floats(0.1, 10.0))
+    if kind == "gaussbump":
+        return verify.GaussBump(s)
+    return verify.PolyGauss(draw(st.integers(0, 6)), s)
+
+
+@PROPERTY
+@given(
+    f=marginal_functions(),
+    sigma=st.floats(0.1, 10.0),
+    p=st.floats(1.0, 30.0),
+    step=st.floats(0.0, 30.0),
+)
+def test_pnorm_nondecreasing_in_p(f, sigma, p, step):
+    low = verify.marginal_pnorm(f, sigma, p)
+    high = verify.marginal_pnorm(f, sigma, p + step)
+    assert low <= high * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(
+    k=st.integers(0, 6),
+    s=st.floats(0.1, 10.0),
+    sigma=st.floats(0.1, 10.0),
+    p=st.floats(1.0, 30.0),
+)
+def test_pnorm_sigma_scaling(k, s, sigma, p):
+    # |sigma z|^k exp(-(sigma z)^2 / s) = sigma^k |z|^k exp(-z^2 / (s / sigma^2))
+    scaled = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
+    unit = sigma**k * verify.marginal_pnorm(verify.PolyGauss(k, s / sigma**2), 1.0, p)
+    assert math.isclose(scaled, unit, rel_tol=1e-12)
 
 
 @st.composite

@@ -1,9 +1,10 @@
-"""Verification layer: closed-form ratios vs their bound, quadrature p-norms
-vs analytic Gaussian integrals, Monte Carlo against exact oracles, and the
-end-to-end inequality check."""
+"""Verification layer: closed-form ratios vs their bound, closed-form p-norms
+vs quadrature and high-precision references, Monte Carlo against exact
+oracles, and the end-to-end inequality check."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,23 @@ class TestBrascampLieb:
         expected = (2.0 * math.pi) ** 0.5 / 2.0 ** 0.5
         assert verify.bl_bound(np.diag([2.0, 2.0]), 2.0) == pytest.approx(expected, rel=1e-14)
 
+    def test_bound_beyond_linear_determinant_range(self):
+        # det(1e-3 I_200) = 1e-600 underflows; the bound is about 1e190
+        a = 1e-3 * np.eye(200)
+        _, log_det = np.linalg.slogdet(a)
+        expected = math.exp(0.5 * (100.0 * math.log(2.0 * math.pi) - 0.5 * log_det))
+        assert verify.bl_bound(a, 2.0) == pytest.approx(expected, rel=1e-10)
+
+    def test_ratio_beyond_linear_determinant_range(self):
+        # det(1e3 I_200 + I) = 1001^200 overflows; the ratio is about 1e-245
+        a = 1e3 * np.eye(200)
+        b = np.ones(200)
+        _, log_det = np.linalg.slogdet(a + np.diag(b))
+        expected = math.exp(
+            50.0 * math.log(2.0 * math.pi) + 50.0 * math.log(2.0) - 0.5 * log_det
+        )
+        assert verify.bl_ratio(a, b, 2.0) == pytest.approx(expected, rel=1e-10)
+
     def test_indefinite_shift_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             verify.bl_bound([[1.0, 2.0], [2.0, 1.0]], 2.0)
@@ -151,20 +169,69 @@ class TestMarginalPnorm:
         )
         expected = moment ** (1.0 / p)
         val = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
+        assert val == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "k,s,sigma,p",
+        [
+            (0, 0.5, 1.3, 2.0),
+            (2, 1.0, 1.3, 2.0),
+            (3, 1.5, 2.0, 4.0),
+            (7, 1.0, 1.0, 6.0),
+            (63, 3.0, 1.0, 2.0),
+            (1, 1.0, 1.0, 126.0),
+        ],
+    )
+    def test_exact_hermite_rule(self, k, s, sigma, p):
+        # 64-node Gauss-Hermite integrates |t|^(kp) exp(-t^2) exactly for even
+        # integer kp <= 126, after z = t / sqrt(alpha) absorbs the Gaussian part
+        t, w = np.polynomial.hermite.hermgauss(64)
+        scale = (0.5 + p * sigma * sigma / s) ** -0.5
+        integral = float(w @ np.abs(sigma * scale * t) ** (k * p))
+        moment = scale / math.sqrt(2.0 * math.pi) * integral
+        val = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
+        assert val == pytest.approx(moment ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "k,s,sigma,p",
+        [
+            (1, 2.0, 1.0, 1.1),  # |t|^1.1 is not smooth at 0
+            (0, 0.3, 2.5, 7.0),
+            (5, 2.0, 0.7, 3.3),
+            (1, 1.0, 1.0, 250.0),
+            (3, 1.0, 1.0, 122.3),
+            (125, 3.0, 1.0, 2.0),
+            (1, 1.0, 1.0, 1000.0),
+            (100, 4.0, 0.3, 10.0),
+        ],
+    )
+    def test_high_precision_quadrature(self, k, s, sigma, p):
+        # E f(sigma Z)^p by mpmath.quad on the raw integrand, split at its peak
+        # z* = sqrt(q / (2 alpha)) and scaled to peak value 1, because quad's
+        # error estimate is absolute and these integrands peak far from 1
+        with mpmath.workdps(20):
+            q = mpmath.mpf(k) * p
+            sig = mpmath.mpf(sigma)
+            integrand = lambda z: (sig * z) ** q * mpmath.exp(-p * (sig * z) ** 2 / s - z * z / 2)
+            z_peak = mpmath.sqrt(q / (2 * (0.5 + p * sig**2 / s)))
+            peak = integrand(z_peak) if q > 0 else mpmath.mpf(1)
+            area = mpmath.quad(lambda z: integrand(z) / peak, [0, z_peak, mpmath.inf])
+            moment = 2 * peak * area / mpmath.sqrt(2 * mpmath.pi)
+            expected = float(moment ** (1 / mpmath.mpf(p)))
+        val = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
         assert val == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "f", [verify.GaussBump(0.5), verify.GaussBump(2.0), verify.PolyGauss(2, 1.0)]
+        "a,b", [(7.5, math.inf), (9.0, math.inf), (-math.inf, -9.0), (6.0, 7.0), (-2.0, 3.0)]
     )
-    def test_quadrature_node_stability(self, f):
-        # smooth integrands: 64 vs 128 nodes agree to 1e-10 relative
-        a = verify.marginal_pnorm(f, 1.3, 2.0, nodes=64)
-        b = verify.marginal_pnorm(f, 1.3, 2.0, nodes=128)
-        assert abs(a - b) <= 1e-10 * max(a, b)
-
-    def test_node_floor(self):
-        with pytest.raises(InvalidParameter):
-            verify.marginal_pnorm(HALF_LINE, 1.0, 2.0, nodes=8)
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_indicator_tails(self, a, b, sigma):
+        p = 3.0
+        with mpmath.workdps(50):
+            mass = mpmath.ncdf(mpmath.mpf(b) / sigma) - mpmath.ncdf(mpmath.mpf(a) / sigma)
+            expected = float(mass ** (1 / mpmath.mpf(p)))
+        val = verify.marginal_pnorm(verify.Indicator(a, b), sigma, p)
+        assert val == pytest.approx(expected, rel=1e-12)
 
 
 class TestMCExpectation:
