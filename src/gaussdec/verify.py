@@ -10,7 +10,9 @@ Pieces:
   in closed form: absolute normal moments through the Gamma function for
   the smooth ones, and normal tail masses through erfc for indicators;
 * seeded, chunked Monte Carlo estimation of E prod f_i(X_i) by sampling
-  x = L z with the Cholesky factor L of C;
+  x = L z with the Cholesky factor L of C: the chunks run concurrently on a
+  thread pool sized by the CPU affinity mask, each one in blocks of
+  MC_BLOCK rows, and the estimate is bit-identical however they are run;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -19,6 +21,9 @@ Pieces:
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,9 @@ INF = math.inf
 # Chunk size of the Monte Carlo sampler; part of the reproducibility
 # contract (see mc_expectation).
 MC_CHUNK = 65536
+# Rows a chunk draws and evaluates at a time; not part of the contract, it
+# bounds the sampler's memory (see mc_expectation).
+MC_BLOCK = 4096
 MIN_SAMPLES = 10_000
 
 
@@ -130,11 +138,50 @@ def _normal_mass(a: float, b: float) -> float:
     return 0.5 * (math.erf(b * r) + math.erf(-a * r))
 
 
+def _log_erfc(x: float) -> float:
+    """log erfc(x), also past x of about 26.5, where erfc underflows.
+
+    There it sums the asymptotic series (Abramowitz & Stegun 7.1.23)
+
+        erfc(x) = exp(-x^2) / (x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k,
+
+    whose k-th term is below 1e-17 relative by k = 7 at such x.
+    """
+    y = math.erfc(x)
+    if y >= sys.float_info.min:
+        return math.log(y)
+    t = 0.5 / (x * x)
+    term = 1.0
+    series = 1.0
+    for k in range(1, 9):
+        term *= -(2 * k - 1) * t
+        series += term
+    return -x * x - math.log(x) - 0.5 * math.log(math.pi) + math.log(series)
+
+
+def _log_normal_mass(a: float, b: float) -> float:
+    """log P(a < Z < b) for standard normal Z, from the nearer tail in log
+    space: 0.5 erfc(a') (1 - erfc(b')/erfc(a')) with a' < b' the scaled
+    bounds of the interval reflected into the upper tail.  It survives where
+    the mass itself underflows (an interval beyond about 37.5); -inf when
+    the mass is below what the difference of tails resolves."""
+    r = 1.0 / math.sqrt(2.0)
+    if b <= 0.0:
+        a, b = -b, -a
+    log_a = _log_erfc(a * r)
+    gap = _log_erfc(b * r) - log_a
+    if not gap < 0.0:
+        return -INF
+    return math.log(0.5) + log_a + math.log(-math.expm1(gap))
+
+
 def marginal_pnorm(f: TestFunction, sigma: float, p: float) -> float:
     """(E |f(sigma Z)|^p)^(1/p) for standard normal Z, in closed form.
 
     Indicators: the normal mass of (a/sigma, b/sigma), taken from the nearer
-    tail with erfc.  The smooth families: with q = k p (k = 0 for GaussBump)
+    tail with erfc; a mass below the normal float range (an interval beyond
+    about 37.5 sigma) is taken in log space, so that only log mass / p is
+    exponentiated.  The smooth families: with q = k p (k = 0 for GaussBump)
     and alpha = 1/2 + p sigma^2 / s, the absolute normal moment
 
         E |sigma Z|^q exp(-p sigma^2 Z^2 / s)
@@ -149,8 +196,11 @@ def marginal_pnorm(f: TestFunction, sigma: float, p: float) -> float:
     if not p >= 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
     if isinstance(f, Indicator):
-        mass = max(0.0, _normal_mass(f.a / sigma, f.b / sigma))
-        return mass ** (1.0 / p)
+        a, b = f.a / sigma, f.b / sigma
+        mass = max(0.0, _normal_mass(a, b))
+        if mass >= sys.float_info.min:
+            return mass ** (1.0 / p)
+        return math.exp(_log_normal_mass(a, b) / p)
     q = (f.k if isinstance(f, PolyGauss) else 0) * p
     scale = (0.5 + p * sigma * sigma / f.s) ** -0.5
     log_moment = (
@@ -214,6 +264,16 @@ def mc_expectation(
     numpy's SeedSequence(seed) and results are merged by count-weighted sums,
     so the estimate is bit-identical for a given (seed, samples) no matter
     how the chunks are executed.
+
+    Execution: the chunks run concurrently on a thread pool with one worker
+    per CPU in the process's affinity mask (never more than there are
+    chunks; a single chunk runs inline), and their sums are merged in chunk
+    order.  Each chunk draws and evaluates its normals in blocks of MC_BLOCK
+    rows, so memory is bounded by workers x MC_BLOCK x n whatever the sample
+    count.  An exception in a worker, or one raised in the calling thread
+    (an alarm, an interrupt), cancels the chunks not yet started and stops
+    the running ones at their next block, so the call ends within about one
+    block.
     """
     if samples < MIN_SAMPLES:
         raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
@@ -222,23 +282,72 @@ def mc_expectation(
     low = x.cholesky_factor
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
+    workers = min(_cpu_count(), n_chunks)
+    stop = threading.Event()
+    if workers == 1:
+        sums = [_chunk_sums(low, fs, m, child, stop) for m, child in zip(sizes, children)]
+    else:
+        # Imported here: concurrent.futures loads logging, a cost that every
+        # command would otherwise pay at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            futures = [
+                pool.submit(_chunk_sums, low, fs, m, child, stop)
+                for m, child in zip(sizes, children)
+            ]
+            sums = [future.result() for future in futures]
+        finally:
+            stop.set()
+            pool.shutdown(cancel_futures=True)
     total = 0.0
     total_sq = 0.0
-    left = samples
-    for child in children:
-        m = min(MC_CHUNK, left)
-        left -= m
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((m, x.n))
-        xs = z @ low.T
-        vals = np.ones(m)
-        for j, f in enumerate(fs):
-            vals *= f.evaluate(xs[:, j])
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+    for chunk_total, chunk_sq in sums:
+        total += chunk_total
+        total_sq += chunk_sq
     mean = total / samples
     var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     return mean, math.sqrt(var / samples)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_sums(
+    low: np.ndarray,
+    fs: list[TestFunction],
+    m: int,
+    seed: np.random.SeedSequence,
+    stop: threading.Event,
+) -> tuple[float, float]:
+    """sum(v) and sum(v*v) over one chunk of m draws, v = prod_i f_i(X_i);
+    NaNs, abandoning the chunk, once ``stop`` is set by a failed call.
+
+    The normals come from consecutive standard_normal calls, which consume
+    the stream exactly as one (m, n) call does.  Each block of x = z L^T is
+    transposed once, so every f_i reads a contiguous row; the products keep
+    the order ((1 * f_1) * f_2) * ... of the whole-chunk evaluation.
+    """
+    rng = np.random.default_rng(seed)
+    vals = np.empty(m)
+    for start in range(0, m, MC_BLOCK):
+        if stop.is_set():
+            return math.nan, math.nan
+        end = min(start + MC_BLOCK, m)
+        z = rng.standard_normal((end - start, low.shape[0]))
+        rows = np.ascontiguousarray((z @ low.T).T)
+        prod = vals[start:end]
+        prod.fill(1.0)
+        for f, row in zip(fs, rows):
+            prod *= f.evaluate(row)
+    return float(np.sum(vals)), float(np.sum(vals * vals))
 
 
 @dataclass(frozen=True)

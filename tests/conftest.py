@@ -2,6 +2,7 @@
 
 import contextlib
 import signal
+import threading
 
 import pytest
 
@@ -30,3 +31,15 @@ def deadline():
     block runs longer than s seconds.  SIGALRM is delivered between
     bytecodes, so it also ends a pure-Python loop that never returns."""
     return _deadline
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fails any test that returns with more live threads than it started
+    with: a thread pool must be joined on every exit path, errors and
+    interrupts included."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    if leaked:
+        pytest.fail(f"test left threads running: {leaked}")

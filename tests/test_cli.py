@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -481,3 +484,17 @@ class TestGoldenFiles:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(TestSweep.SPEC))
         self._check(["sweep", "--spec", str(spec)], "sweep_equi.csv", tmp_path)
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # the sampler imports concurrent.futures (and with it logging's handlers)
+    # only when it runs, so that start-up of every command stays lean
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, gaussdec.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,11 +3,14 @@ vs quadrature and high-precision references, Monte Carlo against exact
 oracles, and the end-to-end inequality check."""
 
 import math
+import threading
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from conftest import DeadlineExceeded
 from gaussdec import covgen, decouple, matcore, verify
 from gaussdec.errors import (
     InvalidParameter,
@@ -18,6 +21,31 @@ from gaussdec.errors import (
 
 EQUI = decouple.from_covariance([[1.0, 0.5], [0.5, 1.0]])
 HALF_LINE = verify.Indicator(0.0, math.inf)
+
+
+def sequential_mc_expectation(x, fs, samples, seed):
+    """The sampler as one sequential loop over whole chunks: the reference
+    that the concurrent, row-blocked sampler must match bit for bit."""
+    low = x.cholesky_factor
+    n_chunks = (samples + verify.MC_CHUNK - 1) // verify.MC_CHUNK
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    total = 0.0
+    total_sq = 0.0
+    left = samples
+    for child in children:
+        m = min(verify.MC_CHUNK, left)
+        left -= m
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal((m, x.n))
+        xs = z @ low.T
+        vals = np.ones(m)
+        for j, f in enumerate(fs):
+            vals *= f.evaluate(xs[:, j])
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, math.sqrt(var / samples)
 
 
 def double_factorial_odd(m):
@@ -222,16 +250,36 @@ class TestMarginalPnorm:
         assert val == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "a,b", [(7.5, math.inf), (9.0, math.inf), (-math.inf, -9.0), (6.0, 7.0), (-2.0, 3.0)]
+        "a,b",
+        [
+            (7.5, math.inf),
+            (9.0, math.inf),
+            (-math.inf, -9.0),
+            (6.0, 7.0),
+            (-2.0, 3.0),
+            # at sigma 1 erfc underflows beyond about 37.5, yet the 3-norm
+            # is still about 1e-117
+            (40.0, math.inf),
+            (-math.inf, -40.0),
+            (38.0, 45.0),
+        ],
     )
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_indicator_tails(self, a, b, sigma):
         p = 3.0
         with mpmath.workdps(50):
-            mass = mpmath.ncdf(mpmath.mpf(b) / sigma) - mpmath.ncdf(mpmath.mpf(a) / sigma)
+            lo, hi = mpmath.mpf(a) / sigma, mpmath.mpf(b) / sigma
+            # an interval in the upper tail is measured there: 1 - ncdf(40)
+            # is below what 50 digits resolve
+            if a >= 0.0:
+                mass = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+            else:
+                mass = mpmath.ncdf(hi) - mpmath.ncdf(lo)
             expected = float(mass ** (1 / mpmath.mpf(p)))
         val = verify.marginal_pnorm(verify.Indicator(a, b), sigma, p)
-        assert val == pytest.approx(expected, rel=1e-12)
+        # abs=0: approx's default absolute tolerance of 1e-12 would pass
+        # 0.0 for a norm of 1e-117
+        assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestMCExpectation:
@@ -271,9 +319,77 @@ class TestMCExpectation:
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 100, seed=0)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_deadline_cancels_queued_chunks(self, deadline, monkeypatch, workers):
+        # 62 chunks at n = 50 take seconds; an alarm in the calling thread
+        # must stop the running chunks at their next block and join every
+        # worker
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        x = decouple.from_covariance(covgen.generate(covgen.AR1(50, 0.5)))
+        fs = [verify.GaussBump(2.0)] * 50
+        threads_before = threading.active_count()
+        start = time.perf_counter()
+        with pytest.raises(DeadlineExceeded), deadline(0.2):
+            verify.mc_expectation(x, fs, 4_000_000, seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_error_surfaces(self, monkeypatch, workers):
+        class Exploding:
+            def evaluate(self, x):
+                raise FloatingPointError("evaluate failed")
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError):
+            verify.mc_expectation(EQUI, [HALF_LINE, Exploding()], 5 * verify.MC_CHUNK, seed=2)
+        assert threading.active_count() == threads_before
+
     def test_function_count_checked(self):
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE], 20_000, seed=0)
+
+
+FUNCTION_MIX = [verify.Indicator(-0.5, math.inf), verify.GaussBump(2.0), verify.PolyGauss(1, 3.0)]
+
+
+def oracle_vector(n, case):
+    families = [
+        covgen.AR1(n, 0.5),
+        covgen.Equicorrelated(n, 0.3),
+        covgen.RandomSPD(n, seed=n, cond=20.0),
+    ]
+    fam = families[case % 3] if n > 1 else covgen.AR1(1, 0.0)
+    fs = [FUNCTION_MIX[(j + case) % 3] for j in range(n)]
+    return decouple.from_covariance(covgen.generate(fam)), fs
+
+
+class TestSamplerMatchesSequentialLoop:
+    """The concurrent, row-blocked sampler returns the same bits as one
+    sequential loop over whole chunks, for any worker count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 26, 50])
+    @pytest.mark.parametrize(
+        "samples",
+        [verify.MIN_SAMPLES, verify.MC_CHUNK - 1, verify.MC_CHUNK, verify.MC_CHUNK + 1],
+    )
+    def test_bits(self, monkeypatch, n, samples):
+        case = n + samples
+        x, fs = oracle_vector(n, case)
+        expected = sequential_mc_expectation(x, fs, samples, seed=case)
+        for workers in (1, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+            assert verify.mc_expectation(x, fs, samples, seed=case) == expected
+
+    @pytest.mark.parametrize("n,case", [(9, 0), (26, 1), (2, 2)])
+    def test_bits_at_default_sample_count(self, monkeypatch, n, case):
+        # 16 chunks, the last one 16960 rows (four full blocks and 576 rows)
+        x, fs = oracle_vector(n, case)
+        expected = sequential_mc_expectation(x, fs, 1_000_000, seed=case)
+        for workers in (1, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+            assert verify.mc_expectation(x, fs, 1_000_000, seed=case) == expected
 
 
 class TestCheckInequality:
