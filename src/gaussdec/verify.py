@@ -267,8 +267,7 @@ def mc_expectation(
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
-    chunks; a single chunk runs inline), and their sums are merged in chunk
-    order.  Each chunk draws and evaluates its normals in blocks of MC_BLOCK
+    chunks), and their sums are merged in chunk order.  Each chunk draws and evaluates its normals in blocks of MC_BLOCK
     rows, so memory is bounded by workers x MC_BLOCK x n whatever the sample
     count.  An exception in a worker, or one raised in the calling thread
     (an alarm, an interrupt), cancels the chunks not yet started and stops
@@ -285,23 +284,20 @@ def mc_expectation(
     sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
     workers = min(_cpu_count(), n_chunks)
     stop = threading.Event()
-    if workers == 1:
-        sums = [_chunk_sums(low, fs, m, child, stop) for m, child in zip(sizes, children)]
-    else:
-        # Imported here: concurrent.futures loads logging, a cost that every
-        # command would otherwise pay at start-up.
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here: concurrent.futures loads logging, a cost that every
+    # command would otherwise pay at start-up.
+    from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers)
-        try:
-            futures = [
-                pool.submit(_chunk_sums, low, fs, m, child, stop)
-                for m, child in zip(sizes, children)
-            ]
-            sums = [future.result() for future in futures]
-        finally:
-            stop.set()
-            pool.shutdown(cancel_futures=True)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [
+            pool.submit(_chunk_sums, low, fs, m, child, stop)
+            for m, child in zip(sizes, children)
+        ]
+        sums = [future.result() for future in futures]
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
     total = 0.0
     total_sq = 0.0
     for chunk_total, chunk_sq in sums:
