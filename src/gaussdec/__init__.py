@@ -19,7 +19,6 @@ from .covgen import (
     Scaled,
     Toeplitz,
     family_from_json,
-    family_to_json,
     generate,
 )
 from .decouple import (

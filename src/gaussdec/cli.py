@@ -43,6 +43,7 @@ from .errors import (
     NotInRegion,
     NotPositiveDefinite,
     NotSymmetric,
+    as_int,
 )
 
 EXIT_OK = 0
@@ -69,7 +70,7 @@ def read_matrix_document(path: str) -> np.ndarray:
         if not isinstance(doc, dict) or "n" not in doc or "rows" not in doc:
             raise InvalidParameter(f"{path}: expected an object with 'n' and 'rows'")
         try:
-            n = int(doc["n"])
+            n = as_int(doc["n"], "n")
             rows = [[float(v) for v in row] for row in doc["rows"]]
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(f"{path}: malformed matrix document: {exc}") from exc

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from . import matcore
-from .errors import InvalidParameter, NonPositiveVariance, NotPositiveDefinite, NotSymmetric
+from .errors import InvalidParameter, NotPositiveDefinite, NotSymmetric, as_int
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _gen_equicorrelated(fam: Equicorrelated) -> np.ndarray:
 def _check_spd(m: np.ndarray, what: str) -> np.ndarray:
     try:
         matcore.cholesky(m)
-    except (NotPositiveDefinite, NotSymmetric, NonPositiveVariance) as exc:
+    except (NotPositiveDefinite, NotSymmetric) as exc:
         raise InvalidParameter(f"{what} does not define an SPD matrix: {exc}") from exc
     return m
 
@@ -166,26 +166,6 @@ def _gen_scaled(fam: Scaled) -> np.ndarray:
     return root[:, None] * base * root[None, :]
 
 
-def family_to_json(fam: CovFamily) -> dict:
-    if isinstance(fam, AR1):
-        return {"kind": "ar1", "n": fam.n, "rho": fam.rho}
-    if isinstance(fam, Equicorrelated):
-        return {"kind": "equicorrelated", "n": fam.n, "rho": fam.rho}
-    if isinstance(fam, Toeplitz):
-        return {"kind": "toeplitz", "first_row": list(fam.first_row)}
-    if isinstance(fam, RandomSPD):
-        return {"kind": "randomspd", "n": fam.n, "seed": fam.seed, "cond": fam.cond}
-    if isinstance(fam, Diagonal):
-        return {"kind": "diagonal", "gamma": list(fam.gamma)}
-    if isinstance(fam, Scaled):
-        return {
-            "kind": "scaled",
-            "base": family_to_json(fam.base),
-            "variances": list(fam.variances),
-        }
-    raise InvalidParameter(f"unknown covariance family {fam!r}")
-
-
 def family_from_json(doc: dict) -> CovFamily:
     """Parse a family descriptor; raises InvalidParameter on malformed input."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -193,14 +173,16 @@ def family_from_json(doc: dict) -> CovFamily:
     kind = str(doc["kind"]).lower()
     try:
         if kind == "ar1":
-            return AR1(n=int(doc["n"]), rho=float(doc["rho"]))
+            return AR1(n=as_int(doc["n"], "n"), rho=float(doc["rho"]))
         if kind == "equicorrelated":
-            return Equicorrelated(n=int(doc["n"]), rho=float(doc["rho"]))
+            return Equicorrelated(n=as_int(doc["n"], "n"), rho=float(doc["rho"]))
         if kind == "toeplitz":
             return Toeplitz(first_row=tuple(float(v) for v in doc["first_row"]))
         if kind == "randomspd":
             return RandomSPD(
-                n=int(doc["n"]), seed=int(doc["seed"]), cond=float(doc.get("cond", 10.0))
+                n=as_int(doc["n"], "n"),
+                seed=as_int(doc["seed"], "seed"),
+                cond=float(doc.get("cond", 10.0)),
             )
         if kind == "diagonal":
             return Diagonal(gamma=tuple(float(v) for v in doc["gamma"]))

@@ -58,8 +58,8 @@ EPS_BETA = 1e-6
 # p counts as inside the region only if farther than this (times max(1, p))
 # from every breakpoint; the constant diverges at breakpoints.
 REGION_MARGIN_COEFF = 1e-9
-# Breakpoints closer than this (relative) are reported as one excluded point
-# with multiplicity; the membership margin above always covers the gap.
+# Breakpoints closer than this (relative) bound the intervals as one excluded
+# point with multiplicity; the membership margin above always covers the gap.
 BREAKPOINT_COLLAPSE_TOL = 1e-10
 
 
@@ -284,8 +284,7 @@ def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:
     route behind the region and the constants, so it is an independent check
     on the multiset {1/xi_j}.
     """
-    spec = matcore.jacobi_eigen(x._correlation())
-    out = spec.eigenvalues[::-1].copy()
+    out = matcore.jacobi_eigen(x._correlation())[::-1].copy()
     out.setflags(write=False)
     return out
 
@@ -307,13 +306,10 @@ class AdmissibleRegion:
     partition (1, inf) minus the breakpoints, in ascending order; an interval
     is admissible iff the number of breakpoints strictly above it is even
     (counting multiplicity), so the topmost interval is always admissible.
-    ``collapsed`` lists the distinct excluded points above 1 with their
-    multiplicities (near-coincident values merged).
     """
 
     breakpoints: tuple[float, ...]
     intervals: tuple[Interval, ...]
-    collapsed: tuple[tuple[float, int], ...]
 
     def margin(self, p: float) -> float:
         return REGION_MARGIN_COEFF * max(1.0, float(p))
@@ -375,7 +371,6 @@ def admissible_region(xi) -> AdmissibleRegion:
     return AdmissibleRegion(
         breakpoints=tuple(float(b) for b in bps),
         intervals=tuple(reversed(descending)),
-        collapsed=tuple((val, mult) for val, mult in above1),
     )
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON integer check."""
 
 
 class GaussdecError(Exception):
@@ -42,3 +42,11 @@ class NotInRegion(GaussdecError):
 class NotApplicable(GaussdecError):
     """The hypothesis of the requested bound (strict diagonal dominance)
     does not hold for the given matrix."""
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int for an integer field of a JSON document; booleans
+    and non-integral numbers raise InvalidParameter instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)

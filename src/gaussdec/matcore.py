@@ -9,10 +9,11 @@ regardless of conditioning.
 Two independent eigensolvers are provided on purpose.  ``sym_eigen``
 (Householder tridiagonalization followed by implicitly shifted QL sweeps) is
 the production path; ``jacobi_eigen`` (cyclic two-sided rotations) shares no
-code with it and serves as a cross-check in the test suite.  The production
-path has a values-only form, ``sym_eigvals``: the same reduction and QL loop
-with no basis accumulated in either, an order of magnitude cheaper in pure
-Python, and bit for bit the eigenvalues ``sym_eigen`` returns.
+code with it and is a values-only oracle, for ``correlation_eigs_oracle`` and
+the test suite.  The production path has a values-only form, ``sym_eigvals``:
+the same reduction and QL loop with no basis accumulated in either, an order
+of magnitude cheaper in pure Python, and bit for bit the eigenvalues
+``sym_eigen`` returns.
 """
 
 from __future__ import annotations
@@ -53,17 +54,17 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def symmetrize(a, tol: float = SYM_TOL) -> np.ndarray:
+def symmetrize(a) -> np.ndarray:
     """Return the exactly symmetric part (A + A^T)/2.
 
-    Raises NotSymmetric when the asymmetry exceeds ``tol`` relative to
+    Raises NotSymmetric when the asymmetry exceeds SYM_TOL relative to
     1 + max|a_ij|.
     """
     m = as_matrix(a)
     gap = max_abs(m - m.T)
-    if gap > tol * (1.0 + max_abs(m)):
+    if gap > SYM_TOL * (1.0 + max_abs(m)):
         raise NotSymmetric(
-            f"asymmetry {gap:.3e} exceeds tolerance {tol:.1e} at scale {max_abs(m):.3e}"
+            f"asymmetry {gap:.3e} exceeds tolerance {SYM_TOL:.1e} at scale {max_abs(m):.3e}"
         )
     return (m + m.T) / 2.0
 
@@ -79,26 +80,12 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
 
 def _fix_signs(z: np.ndarray) -> None:
     for j in range(z.shape[1]):
         k = int(np.argmax(np.abs(z[:, j])))
         if z[k, j] < 0.0:
             z[:, j] = -z[:, j]
-
-
-def _finish_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
-    order = np.argsort(values, kind="stable")
-    values = values[order].copy()
-    vectors = vectors[:, order].copy()
-    _fix_signs(vectors)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(eigenvalues=values, eigenvectors=vectors)
 
 
 def _householder_tridiag(
@@ -134,7 +121,7 @@ def _householder_tridiag(
     return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0], q
 
 
-def _tridiag_ql(d: list[float], e: list[float], eps: float, zt: np.ndarray | None) -> None:
+def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
     """Implicitly shifted QL on the tridiagonal (d, e), in place.
 
     On exit ``d`` holds the eigenvalues (unsorted).  ``e`` must have length
@@ -143,6 +130,7 @@ def _tridiag_ql(d: list[float], e: list[float], eps: float, zt: np.ndarray | Non
     contiguous, so each update is one vector operation); without it no
     basis is touched and the loop is scalar arithmetic on Python floats.
     """
+    eps = _EPS
     n = len(d)
     for l in range(n):
         iterations = 0
@@ -193,14 +181,14 @@ def _tridiag_ql(d: list[float], e: list[float], eps: float, zt: np.ndarray | Non
             e[m] = 0.0
 
 
-def sym_eigen(a, tol: float | None = None) -> Spectrum:
+def sym_eigen(a) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     Householder reflections reduce the matrix to tridiagonal form; implicitly
     shifted QL iterations then drive the off-diagonal to zero, accumulating
-    every rotation into the eigenvector basis.  ``tol`` overrides the
-    deflation threshold (default: machine epsilon).  Callers that need only
-    the eigenvalues should use ``sym_eigvals``, which runs the same
+    every rotation into the eigenvector basis; an off-diagonal entry deflates
+    at machine epsilon relative to its diagonal neighbours.  Callers that
+    need only the eigenvalues should use ``sym_eigvals``, which runs the same
     arithmetic without the basis and returns the same bits.
 
     Raises NotSymmetric when the input is not symmetric within SYM_TOL, and
@@ -208,9 +196,14 @@ def sym_eigen(a, tol: float | None = None) -> Spectrum:
     """
     d, e, q = _householder_tridiag(symmetrize(a), accumulate=True)
     zt = q.T.copy()
-    eps = _EPS if tol is None else max(float(tol), _EPS)
-    _tridiag_ql(d, e, eps, zt)
-    return _finish_spectrum(np.array(d), zt.T)
+    _tridiag_ql(d, e, zt)
+    order = np.argsort(d, kind="stable")
+    values = np.array(d)[order]
+    vectors = zt.T[:, order].copy()
+    _fix_signs(vectors)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return Spectrum(eigenvalues=values, eigenvectors=vectors)
 
 
 def sym_eigvals(a) -> np.ndarray:
@@ -223,13 +216,13 @@ def sym_eigvals(a) -> np.ndarray:
     Raises as ``sym_eigen`` does.
     """
     d, e, _ = _householder_tridiag(symmetrize(a), accumulate=False)
-    _tridiag_ql(d, e, _EPS, None)
+    _tridiag_ql(d, e, None)
     values = np.sort(d, kind="stable")
     values.setflags(write=False)
     return values
 
 
-def _rotate_sym(m: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+def _rotate_sym(m: np.ndarray, p: int, q: int, c: float, s: float) -> None:
     mp = m[:, p].copy()
     mq = m[:, q].copy()
     m[:, p] = c * mp - s * mq
@@ -240,29 +233,23 @@ def _rotate_sym(m: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float
     m[q, :] = s * rp + c * rq
     m[p, q] = 0.0
     m[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
 
 
-def jacobi_eigen(a, tol: float | None = None) -> Spectrum:
-    """Eigendecomposition by cyclic Jacobi rotations.
+def jacobi_eigen(a) -> np.ndarray:
+    """Eigenvalues by cyclic Jacobi rotations, ascending, as a read-only array.
 
     Independent of the tridiagonal route in ``sym_eigen``; quadratically
     convergent and unconditionally orthogonal, so it makes a good oracle.
     """
     m = symmetrize(a)
     n = m.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return _finish_spectrum(np.diag(m).copy(), v)
-    eps = _EPS if tol is None else max(float(tol), _EPS)
     fro = math.sqrt(float(np.sum(m * m)))
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(2.0 * float(np.sum(np.tril(m, -1) ** 2)))
-        if off <= eps * fro:
-            return _finish_spectrum(np.diag(m).copy(), v)
+        if off <= _EPS * fro:
+            values = np.sort(np.diag(m), kind="stable")
+            values.setflags(write=False)
+            return values
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = m[p, q]
@@ -271,21 +258,21 @@ def jacobi_eigen(a, tol: float | None = None) -> Spectrum:
                 theta = (m[q, q] - m[p, p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                _rotate_sym(m, v, p, q, c, t * c)
+                _rotate_sym(m, p, q, c, t * c)
     raise NonConvergence(
         f"off-diagonal mass not annihilated after {_JACOBI_MAX_SWEEPS} Jacobi sweeps"
     )
 
 
-def cholesky(a, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A and positive diagonal.
 
-    A pivot at or below ``pivot_tol * max|a_ij|`` raises NotPositiveDefinite;
+    A pivot at or below ``PIVOT_TOL * max|a_ij|`` raises NotPositiveDefinite;
     this is the positive-definiteness test used throughout the package.
     """
     m = symmetrize(a)
     n = m.shape[0]
-    thresh = pivot_tol * max_abs(m)
+    thresh = PIVOT_TOL * max_abs(m)
     low = np.zeros_like(m)
     for j in range(n):
         pivot = m[j, j] - float(np.dot(low[j, :j], low[j, :j]))

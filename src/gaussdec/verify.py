@@ -24,12 +24,12 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import decouple, matcore
-from .errors import InvalidParameter
+from .errors import InvalidParameter, as_int
 
 INF = math.inf
 
@@ -108,7 +108,7 @@ def parse_test_functions(doc) -> list[TestFunction]:
             elif kind == "gaussbump":
                 out.append(GaussBump(float(entry["s"])))
             elif kind == "polygauss":
-                out.append(PolyGauss(int(entry["k"]), float(entry["s"])))
+                out.append(PolyGauss(as_int(entry["k"], "polygauss k"), float(entry["s"])))
             else:
                 raise InvalidParameter(f"unknown function kind {kind!r}")
         except (KeyError, TypeError) as exc:
@@ -267,12 +267,12 @@ def mc_expectation(
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
-    chunks), and their sums are merged in chunk order.  Each chunk draws and evaluates its normals in blocks of MC_BLOCK
-    rows, so memory is bounded by workers x MC_BLOCK x n whatever the sample
-    count.  An exception in a worker, or one raised in the calling thread
-    (an alarm, an interrupt), cancels the chunks not yet started and stops
-    the running ones at their next block, so the call ends within about one
-    block.
+    chunks), and their sums are merged in chunk order.  Each chunk draws and
+    evaluates its normals in blocks of MC_BLOCK rows, so memory is bounded by
+    workers x MC_BLOCK x n whatever the sample count.  An exception in a
+    worker, or one raised in the calling thread (an alarm, an interrupt),
+    cancels the chunks not yet started and stops the running ones at their
+    next block, so the call ends within about one block.
     """
     if samples < MIN_SAMPLES:
         raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
@@ -284,8 +284,8 @@ def mc_expectation(
     sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
     workers = min(_cpu_count(), n_chunks)
     stop = threading.Event()
-    # Imported here: concurrent.futures loads logging, a cost that every
-    # command would otherwise pay at start-up.
+    # Imported here: concurrent.futures and its thread module (with queue)
+    # take about 3 ms to import, which only the commands that sample pay.
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(workers)
@@ -363,18 +363,10 @@ class VerificationResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        margin = self.margin_sigmas
-        if math.isinf(margin):
-            margin = "inf" if margin > 0 else "-inf"
-        return {
-            "lhs_estimate": self.lhs_estimate,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs_bound": self.rhs_bound,
-            "margin_sigmas": margin,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        if math.isinf(self.margin_sigmas):
+            doc["margin_sigmas"] = "inf" if self.margin_sigmas > 0 else "-inf"
+        return doc
 
 
 def check_inequality(

@@ -61,6 +61,15 @@ class TestMatrixInput:
         path.write_text(json.dumps({"n": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]}))
         assert run(["analyze", "--input", str(path), "--p", "3"]) == 2
 
+    @pytest.mark.parametrize("n,code", [(2.5, 2), (True, 2), (2.0, 0), (2, 0)])
+    def test_integer_dimension(self, tmp_path, n, code, capsys):
+        # int() would read 2.5 as 2 and True as 1, matching the rows
+        rows = [[1.0]] if n is True else EQUI_DOC["rows"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": n, "rows": rows}))
+        assert run(["region", "--input", str(path)]) == code
+        capsys.readouterr()
+
 
 class TestExitCodes:
     def test_identity_analyze_ok(self, tmp_path):
@@ -134,6 +143,21 @@ class TestExitCodes:
 
     def test_gen_invalid_family_is_exit_2(self):
         assert run(["gen", "--family", '{"kind":"equicorrelated","n":3,"rho":-0.6}']) == 2
+
+    @pytest.mark.parametrize("n,code", [("3.7", 2), ("true", 2), ("3.0", 0), ("3", 0)])
+    def test_gen_integer_field(self, n, code, capsys):
+        # a non-integral n is rejected, not truncated to AR1(n=3)
+        assert run(["gen", "--family", f'{{"kind":"ar1","n":{n},"rho":0.5}}']) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert json.loads(out)["n"] == 3
+
+    def test_verify_non_integral_power_is_exit_2(self, equi_file, tmp_path, capsys):
+        path = tmp_path / "fns.json"
+        path.write_text(json.dumps([{"kind": "polygauss", "k": 2.7, "s": 1.0}] * 2))
+        assert run(["verify", "--input", equi_file, "--p", "3",
+                    "--functions", str(path), "--samples", "20000"]) == 2
+        assert "integer" in capsys.readouterr().err
 
     def test_numerically_unusable_is_exit_3(self, tmp_path, capsys):
         # the constants are finite here, but det_identity_residual forms
@@ -487,8 +511,8 @@ class TestGoldenFiles:
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # the sampler imports concurrent.futures (and with it logging's handlers)
-    # only when it runs, so that start-up of every command stays lean
+    # the sampler imports concurrent.futures and its thread module only when
+    # it runs, which spares the commands that do not sample about 3 ms
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -118,11 +118,66 @@ def test_every_family_passes_validation(fam):
     assert x.n == covgen.generate(fam).shape[0]
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: type(f).__name__)
-def test_json_round_trip(fam):
-    doc = covgen.family_to_json(fam)
-    again = covgen.family_from_json(doc)
-    np.testing.assert_array_equal(covgen.generate(fam), covgen.generate(again))
+FAMILY_DOCS = {
+    "ar1": ({"kind": "ar1", "n": 4, "rho": 0.7}, covgen.AR1(4, 0.7)),
+    "equicorrelated": (
+        {"kind": "Equicorrelated", "n": 3, "rho": -0.45},
+        covgen.Equicorrelated(3, -0.45),
+    ),
+    "toeplitz": (
+        {"kind": "toeplitz", "first_row": [2, 0.5, 0.25]},
+        covgen.Toeplitz((2.0, 0.5, 0.25)),
+    ),
+    "randomspd": (
+        {"kind": "randomspd", "n": 6, "seed": 3, "cond": 40},
+        covgen.RandomSPD(6, seed=3, cond=40.0),
+    ),
+    "randomspd-default-cond": (
+        {"kind": "randomspd", "n": 6, "seed": 3},
+        covgen.RandomSPD(6, seed=3, cond=10.0),
+    ),
+    "diagonal": ({"kind": "diagonal", "gamma": [0.5, 2, 7.0]}, covgen.Diagonal((0.5, 2.0, 7.0))),
+    "scaled-nested": (
+        {
+            "kind": "scaled",
+            "base": {
+                "kind": "scaled",
+                "base": {"kind": "ar1", "n": 2, "rho": 0.6},
+                "variances": [1.0, 2.0],
+            },
+            "variances": [3.0, 4.0],
+        },
+        covgen.Scaled(covgen.Scaled(covgen.AR1(2, 0.6), (1.0, 2.0)), (3.0, 4.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_DOCS)
+def test_family_from_json(kind):
+    doc, fam = FAMILY_DOCS[kind]
+    assert covgen.family_from_json(doc) == fam
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "ar1", "n": 3.7, "rho": 0.5},
+        {"kind": "equicorrelated", "n": True, "rho": 0.5},
+        {"kind": "randomspd", "n": 4, "seed": 2.9},
+        {"kind": "randomspd", "n": 4, "seed": float("inf")},
+    ],
+)
+def test_non_integral_fields_rejected(doc):
+    # int() would truncate 3.7 and 2.9, read True as 1, and overflow on inf
+    with pytest.raises(InvalidParameter):
+        covgen.family_from_json(doc)
+
+
+def test_integral_values_of_integer_fields_accepted():
+    doc = {"kind": "randomspd", "n": 4.0, "seed": "2", "cond": 20.0}
+    assert covgen.family_from_json(doc) == covgen.RandomSPD(4, seed=2, cond=20.0)
+    big = {"kind": "randomspd", "n": 4, "seed": 2**70}
+    assert covgen.family_from_json(big).seed == 2**70
 
 
 def test_unknown_kind_rejected():

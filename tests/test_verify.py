@@ -88,6 +88,17 @@ class TestTestFunctions:
         with pytest.raises(InvalidParameter):
             verify.parse_test_functions([{"kind": "cosine", "s": 1.0}])
 
+    @pytest.mark.parametrize("k", [2.7, True, float("nan")])
+    def test_parse_rejects_non_integral_power(self, k):
+        # int() would truncate 2.7 to 2 and read True as 1
+        with pytest.raises(InvalidParameter):
+            verify.parse_test_functions([{"kind": "polygauss", "k": k, "s": 1.0}])
+
+    @pytest.mark.parametrize("k", [2, 2.0, "2", 10**30])
+    def test_parse_accepts_integral_power(self, k):
+        fs = verify.parse_test_functions([{"kind": "polygauss", "k": k, "s": 1.0}])
+        assert fs == [verify.PolyGauss(int(k), 1.0)]
+
 
 class TestBrascampLieb:
     def test_scalar_ratio(self):
@@ -129,7 +140,7 @@ class TestBrascampLieb:
         expected = math.exp(
             50.0 * math.log(2.0 * math.pi) + 50.0 * math.log(2.0) - 0.5 * log_det
         )
-        assert verify.bl_ratio(a, b, 2.0) == pytest.approx(expected, rel=1e-10)
+        assert verify.bl_ratio(a, b, 2.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_indefinite_shift_rejected(self):
         with pytest.raises(NotPositiveDefinite):
