@@ -65,7 +65,6 @@ from .matcore import (
     sym_eigvals,
 )
 from .verify import (
-    GaussBump,
     Indicator,
     PolyGauss,
     TestFunction,

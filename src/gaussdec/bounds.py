@@ -144,7 +144,9 @@ class BoundsReport:
 
 
 def report(x: decouple.GaussianVector, p: float, beta: float = 1.0) -> BoundsReport:
-    """Evaluate all applicable bounds on p*diag(gamma) - C."""
+    """Evaluate all applicable bounds on p*diag(gamma) - C; p must pass
+    ``decouple.check_exponent``."""
+    decouple.check_exponent(p)
     m = decouple.shifted_matrix(x, p)
     try:
         ostrowski: float | None = ostrowski_lower_bound(m)

@@ -56,38 +56,24 @@ log = logging.getLogger("gaussdec")
 
 
 def read_matrix_document(path: str) -> np.ndarray:
-    """Load a matrix from a JSON document or a CSV file of n rows."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidParameter(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"{path}: malformed JSON: {exc}") from exc
+    """Load a square matrix from a JSON document {"n": int, "rows": [...]} or
+    a CSV file of n lines.  ``matcore.as_matrix`` reads the JSON rows or the
+    CSV fields, so an entry is read as ``float`` reads it; every malformed
+    document is InvalidParameter, reported with its path."""
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        doc = _parse_json(text, path)
         if not isinstance(doc, dict) or "n" not in doc or "rows" not in doc:
             raise InvalidParameter(f"{path}: expected an object with 'n' and 'rows'")
-        try:
-            n = as_int(doc["n"], "n")
-            rows = [[float(v) for v in row] for row in doc["rows"]]
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameter(f"{path}: malformed matrix document: {exc}") from exc
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise InvalidParameter(f"{path}: rows do not form an {n}x{n} matrix")
+        n, rows = doc["n"], doc["rows"]
     else:
-        try:
-            rows = [
-                [float(tok) for tok in line.split(",")]
-                for line in text.splitlines()
-                if line.strip()
-            ]
-        except ValueError as exc:
-            raise InvalidParameter(f"{path}: malformed CSV matrix: {exc}") from exc
-        if not rows:
-            raise InvalidParameter(f"{path}: empty matrix document")
-    m = matcore.as_matrix(rows)
+        n, rows = None, [line.split(",") for line in text.splitlines() if line.strip()]
+    try:
+        m = matcore.as_matrix(rows)
+        if n is not None and as_int(n, "n") != m.shape[0]:
+            raise InvalidParameter(f"rows do not form an {n}x{n} matrix")
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{path}: {exc}") from exc
     log.debug("loaded %dx%d matrix from %s", m.shape[0], m.shape[1], path)
     return m
 
@@ -103,15 +89,24 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _read_json_file(path: str):
-    """Parse the JSON file at ``path``; an unreadable or malformed file is
-    invalid input, reported with its path."""
+def _read_text(path: str) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except OSError as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(text: str, where: str):
+    """Parse JSON ``text``; malformed JSON is invalid input, reported with
+    ``where`` (the path or flag it came from)."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{path}: malformed JSON: {exc}") from exc
+        raise InvalidParameter(f"{where}: malformed JSON: {exc}") from exc
+
+
+def _read_json_file(path: str):
+    return _parse_json(_read_text(path), path)
 
 
 def _emit_json(obj, output: str | None) -> None:
@@ -226,7 +221,10 @@ def _sweep_rows(spec: dict):
     p_values = _parse_grid(spec["p_grid"])
     beta = spec.get("beta")
     if beta is not None:
-        beta = float(beta)
+        try:
+            beta = float(beta)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"sweep 'beta' must be a real number, got {beta!r}") from exc
 
     log.debug("sweeping %s over %d values, %d exponents", key, len(param_values), len(p_values))
     for param in param_values:
@@ -275,10 +273,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.family.startswith("@"):
         doc = _read_json_file(args.family[1:])
     else:
-        try:
-            doc = json.loads(args.family)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"malformed family JSON: {exc}") from exc
+        doc = _parse_json(args.family, "--family")
     m = covgen.generate(covgen.family_from_json(doc))
     _emit_json(matrix_to_document(m), args.output)
     return EXIT_OK

@@ -140,6 +140,13 @@ def decoupling_coefficient(x: GaussianVector) -> float:
     return float(np.max(rowsums))
 
 
+def check_exponent(p: float) -> None:
+    """The exponent hypothesis of every answer here: p finite and above 1.
+    Raises InvalidParameter when it fails."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise InvalidParameter(f"p must be finite and exceed 1, got {p}")
+
+
 def variance_ratio(x: GaussianVector) -> float:
     return float(np.max(x.gamma) / np.min(x.gamma))
 
@@ -179,8 +186,7 @@ def optimal_beta_bar(x: GaussianVector, p: float) -> float:
     p / p(X), so the cap is optimal whenever it clears the floor
     ``least_beta_bar(x)``; otherwise no valid choice exists.
     """
-    if not p > 1.0:
-        raise InvalidParameter(f"p must exceed 1, got {p}")
+    check_exponent(p)
     px = decoupling_coefficient(x)
     floor = least_beta_bar(x)
     cap = p / px
@@ -319,15 +325,13 @@ class AdmissibleRegion:
 
     def contains(self, p: float) -> bool:
         """Membership with safety margin: p must be > 1, farther than
-        margin(p) from every breakpoint, and have an even count of
-        breakpoints above it."""
+        margin(p) from every breakpoint, and lie in an admissible interval."""
         p = float(p)
         if not math.isfinite(p) or p <= 1.0:
             return False
         if self.breakpoint_distance(p) <= self.margin(p):
             return False
-        above = sum(1 for b in self.breakpoints if b > p)
-        return above % 2 == 0
+        return next(iv.admissible for iv in self.intervals if p < iv.hi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -466,8 +470,7 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
     The classical route takes its beta_bar from ``classical_beta_bar``;
     ``beta_bar`` is reported even when p is below its threshold.
     """
-    if not p > 1.0:
-        raise InvalidParameter(f"p must exceed 1, got {p}")
+    check_exponent(p)
     in_region = x._region.contains(p)
     qn = q_new(x, p) if in_region else None
 

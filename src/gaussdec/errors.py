@@ -45,8 +45,13 @@ class NotApplicable(GaussdecError):
 
 
 def as_int(value, name: str) -> int:
-    """``value`` as an int for an integer field of a JSON document; booleans
-    and non-integral numbers raise InvalidParameter instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """``value`` as an int for an integer field of a JSON document; booleans,
+    non-integral numbers and whatever ``int`` refuses (``"2.5"``, None, a
+    list) raise InvalidParameter instead of truncating or escaping."""
+    lossy = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if not lossy:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")

@@ -40,8 +40,14 @@ _JACOBI_MAX_SWEEPS = 50
 
 
 def as_matrix(a) -> np.ndarray:
-    """Copy ``a`` into a square float64 array, rejecting non-finite entries."""
-    m = np.array(a, dtype=float)
+    """Copy ``a`` into a square float64 array of finite entries, each read as
+    ``float`` reads it (numeric strings included).  Anything else (ragged
+    rows, a non-numeric string, a dict) raises InvalidParameter; an int
+    beyond the float range raises OverflowError."""
+    try:
+        m = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"expected a matrix of reals: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InvalidParameter(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

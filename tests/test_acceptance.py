@@ -146,7 +146,7 @@ def _case_functions(n, rng):
                 else verify.Indicator(-abs(edge) - 0.2, abs(edge) + 0.2)
             )
         elif kind == 1:
-            fs.append(verify.GaussBump(float(rng.uniform(0.5, 2.0))))
+            fs.append(verify.PolyGauss(0, float(rng.uniform(0.5, 2.0))))
         else:
             fs.append(verify.PolyGauss(int(rng.integers(1, 3)), float(rng.uniform(0.5, 2.0))))
     return fs

@@ -70,6 +70,25 @@ class TestMatrixInput:
         assert run(["region", "--input", str(path)]) == code
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name,content", [
+        ("ragged.csv", "1,0.5\n0.5\n"),
+        ("abc.json", json.dumps({"n": 2, "rows": [[1.0, "abc"], [0.5, 1.0]]})),
+        ("dict.json", json.dumps({"n": 2, "rows": [[1.0, {}], [0.5, 1.0]]})),
+        ("n.json", json.dumps({"n": "abc", "rows": EQUI_DOC["rows"]})),
+    ])
+    def test_malformed_entries_are_exit_2_naming_the_path(self, tmp_path, capsys, name,
+                                                           content):
+        path = tmp_path / name
+        path.write_text(content)
+        assert run(["region", "--input", str(path)]) == 2
+        assert f"{path}: " in capsys.readouterr().err
+
+    def test_numeric_strings_read_as_numbers(self, tmp_path, capsys):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"n": "2", "rows": [["1", " 0.5"], ["5e-1", "1.0"]]}))
+        assert run(["region", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "(1, 1.5) excluded\n(1.5, inf) admissible\n"
+
 
 class TestExitCodes:
     def test_identity_analyze_ok(self, tmp_path):
@@ -144,6 +163,24 @@ class TestExitCodes:
     def test_gen_invalid_family_is_exit_2(self):
         assert run(["gen", "--family", '{"kind":"equicorrelated","n":3,"rho":-0.6}']) == 2
 
+    def test_gen_malformed_inline_family_is_exit_2_naming_the_flag(self, capsys):
+        assert run(["gen", "--family", "{bad"]) == 2
+        assert "--family: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0", "-5", "1"])
+    def test_bounds_exponent_at_most_one_is_exit_2(self, equi_file, p, capsys):
+        assert run(["bounds", "--input", equi_file, "--p", p]) == 2
+        assert "exceed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["new", "old"])
+    @pytest.mark.parametrize("p", ["1", "0.5", "nan"])
+    def test_verify_exponent_not_above_one_is_exit_2(self, equi_file, functions_file,
+                                                     constant, p, capsys):
+        # invalid input for both constants, not a p outside the region (exit 5)
+        assert run(["verify", "--input", equi_file, "--p", p, "--functions", functions_file,
+                    "--samples", "20000", "--constant", constant]) == 2
+        assert "exceed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n,code", [("3.7", 2), ("true", 2), ("3.0", 0), ("3", 0)])
     def test_gen_integer_field(self, n, code, capsys):
         # a non-integral n is rejected, not truncated to AR1(n=3)
@@ -175,6 +212,16 @@ class TestExitCodes:
             {"family": {"kind": "equicorrelated", "n": 2, "rho": "0.9:0.1:0.2"},
              "p_grid": "1.5:3.0:0.5"}))
         assert run(["sweep", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize("beta", ["abc", [1], {}])
+    def test_sweep_non_numeric_beta_is_exit_2(self, tmp_path, capsys, beta):
+        # float() raises TypeError on a list, which cli.main does not catch
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"family": {"kind": "equicorrelated", "n": 2, "rho": "0.1:0.3:0.1"},
+             "p_grid": "1.5:3.0:0.5", "beta": beta}))
+        assert run(["sweep", "--spec", str(spec)]) == 2
+        assert "beta" in capsys.readouterr().err
 
     def test_no_command_is_exit_2(self, capsys):
         assert run([]) == 2

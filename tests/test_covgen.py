@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussdec import covgen, decouple, matcore
-from gaussdec.errors import InvalidParameter
+from gaussdec.errors import InvalidParameter, as_int
 
 
 class TestDefinitions:
@@ -178,6 +178,13 @@ def test_integral_values_of_integer_fields_accepted():
     assert covgen.family_from_json(doc) == covgen.RandomSPD(4, seed=2, cond=20.0)
     big = {"kind": "randomspd", "n": 4, "seed": 2**70}
     assert covgen.family_from_json(big).seed == 2**70
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", None, [1], {}])
+def test_as_int_rejects_what_int_refuses(value):
+    # int() raises a bare ValueError or TypeError on these
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        as_int(value, "n")
 
 
 def test_unknown_kind_rejected():

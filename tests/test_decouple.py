@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussdec import covgen, decouple, matcore
+from gaussdec import bounds, covgen, decouple, matcore, verify
 from gaussdec.errors import (
     DegenerateBeta,
     InvalidParameter,
@@ -127,6 +127,28 @@ class TestOptimalBetaBar:
         x = decouple.from_covariance(covgen.generate(covgen.AR1(100, 0.5)))
         with deadline(10.0), pytest.raises(NotAdmissibleClassical):
             decouple.optimal_beta_bar(x, 1.6)
+
+
+class TestCheckExponent:
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.0, -5.0, math.nan, math.inf])
+    def test_every_answer_rejects_it(self, p):
+        x = decouple.from_covariance(EQUI)
+        fs = [verify.Indicator(0.0, math.inf)] * 2
+        calls = [
+            lambda: decouple.check_exponent(p),
+            lambda: decouple.analyze(x, p),
+            lambda: decouple.optimal_beta_bar(x, p),
+            lambda: bounds.report(x, p),
+            lambda: verify.check_inequality(x, fs, p, samples=20_000, constant="new"),
+            lambda: verify.check_inequality(x, fs, p, samples=20_000, constant="old"),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameter, match="exceed 1"):
+                call()
+
+    def test_accepts_finite_above_one(self):
+        for p in (math.nextafter(1.0, 2.0), 3.0, 1e300):
+            decouple.check_exponent(p)
 
 
 class TestLeastBetaBar:

@@ -227,6 +227,21 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             matcore.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [3.0]], [[1.0, "x"], [0.0, 1.0]], "x",
+                                   [[1.0, {}], [0.0, 1.0]], {}])
+    def test_rejects_what_numpy_cannot_read(self, a):
+        # numpy raises a bare ValueError (ragged rows, "x") or TypeError (a dict)
+        with pytest.raises(InvalidParameter):
+            matcore.as_matrix(a)
+
+    def test_reads_numeric_strings_as_float_does(self):
+        m = matcore.as_matrix([[" 2", "1e3"], ["-0.5", "+1.25"]])
+        np.testing.assert_array_equal(m, [[2.0, 1e3], [-0.5, 1.25]])
+
+    def test_int_beyond_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            matcore.as_matrix([[10**400]])
+
     def test_symmetrize_averages(self):
         a = [[1.0, 1.0 + 1e-13], [1.0, 1.0]]
         m = matcore.symmetrize(a)

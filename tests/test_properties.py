@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaussdec import cli, decouple, matcore, verify
+from gaussdec import cli, covgen, decouple, matcore, verify
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -97,6 +97,36 @@ def test_parity_is_determinant_sign(c, p):
         assert region.contains(q) == (det > 0.0)
 
 
+def parity_rule(region, p):
+    """Membership by counting: p > 1, farther than the margin from every
+    breakpoint, and an even number of breakpoints above p (with multiplicity)."""
+    if not math.isfinite(p) or p <= 1.0 or region.breakpoint_distance(p) <= region.margin(p):
+        return False
+    return sum(1 for b in region.breakpoints if b > p) % 2 == 0
+
+
+@PROPERTY
+@given(
+    c=st.one_of(
+        covariances(),
+        # a repeated eigenvalue 1 - rho, which rounding spreads into a collapsed group
+        st.builds(lambda n, rho: covgen.generate(covgen.Equicorrelated(n, rho)),
+                  st.integers(3, 8), st.floats(-0.1, 0.9)),
+    ),
+    p=st.floats(1.0, 50.0),
+)
+def test_contains_is_the_parity_rule(c, p):
+    region = decouple.region_of(decouple.from_covariance(c))
+    near = [
+        b + sign * k * region.margin(b)
+        for b in region.breakpoints
+        for sign in (-1.0, 1.0)
+        for k in (0.0, 0.5, 2.0)
+    ]
+    for q in (p, *probes(region), *near):
+        assert region.contains(q) == parity_rule(region, q)
+
+
 @PROPERTY
 @given(c=covariances(), p=st.floats(1.0, 1e6, exclude_min=True))
 def test_q_new_finite_where_admissible(c, p):
@@ -113,8 +143,8 @@ def test_q_new_finite_where_admissible(c, p):
 
 @st.composite
 def marginal_functions(draw):
-    """Indicators with finite or infinite ends in +-12, GaussBump and PolyGauss
-    with s in [0.1, 10] and k <= 6."""
+    """Indicators with finite or infinite ends in +-12, Gaussian bumps
+    (PolyGauss with k = 0) and PolyGauss with s in [0.1, 10] and k <= 6."""
     kind = draw(st.sampled_from(("indicator", "gaussbump", "polygauss")))
     if kind == "indicator":
         ends = sorted(draw(st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2, unique=True)))
@@ -123,7 +153,7 @@ def marginal_functions(draw):
         return verify.Indicator(a, b)
     s = draw(st.floats(0.1, 10.0))
     if kind == "gaussbump":
-        return verify.GaussBump(s)
+        return verify.PolyGauss(0, s)
     return verify.PolyGauss(draw(st.integers(0, 6)), s)
 
 

@@ -62,7 +62,7 @@ class TestTestFunctions:
 
     def test_gaussbump_positive_scale(self):
         with pytest.raises(InvalidParameter):
-            verify.GaussBump(0.0)
+            verify.PolyGauss(0, 0.0)
 
     def test_polygauss_integer_power(self):
         with pytest.raises(InvalidParameter):
@@ -81,8 +81,39 @@ class TestTestFunctions:
         ]
         fs = verify.parse_test_functions(doc)
         assert fs[0] == verify.Indicator(0.0, math.inf)
-        assert fs[1] == verify.GaussBump(1.5)
+        assert fs[1] == verify.PolyGauss(0, 1.5)
         assert fs[2] == verify.PolyGauss(2, 0.5)
+
+    def test_gaussbump_is_polygauss_without_power(self):
+        (f,) = verify.parse_test_functions([{"kind": "gaussbump", "s": 1.5}])
+        assert f == verify.PolyGauss(0, 1.5)
+        x = np.linspace(-3.0, 3.0, 101)
+        assert np.array_equal(f.evaluate(x), np.exp(-(x * x) / 1.5))
+
+    @pytest.mark.parametrize("a,b,expected", [
+        ("1.5", 2, (1.5, 2.0)),
+        (0, "+inf", (0.0, math.inf)),
+        ("-Infinity", " INF ", (-math.inf, math.inf)),
+    ])
+    def test_parse_reads_bounds_as_float_does(self, a, b, expected):
+        fs = verify.parse_test_functions([{"kind": "indicator", "a": a, "b": b}])
+        assert fs == [verify.Indicator(*expected)]
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "gaussbump", "s": "abc"},
+        {"kind": "polygauss", "k": "2.5", "s": 1},
+        {"kind": "polygauss", "k": None, "s": 1},
+        {"kind": "indicator", "a": "abc", "b": 1},
+        {"kind": "indicator", "a": [0], "b": 1},
+    ])
+    def test_parse_rejects_non_numbers(self, entry):
+        # float() and int() raise a bare ValueError or TypeError on these
+        with pytest.raises(InvalidParameter):
+            verify.parse_test_functions([entry])
+
+    def test_parse_keeps_constructor_messages(self):
+        with pytest.raises(InvalidParameter, match="a < b"):
+            verify.parse_test_functions([{"kind": "indicator", "a": 1, "b": 0}])
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(InvalidParameter):
@@ -185,7 +216,7 @@ class TestMarginalPnorm:
 
     def test_gaussbump_closed_form(self):
         # E exp(-2 X^2) = (1 + 4)^(-1/2) for standard normal X
-        val = verify.marginal_pnorm(verify.GaussBump(1.0), 1.0, 2.0)
+        val = verify.marginal_pnorm(verify.PolyGauss(0, 1.0), 1.0, 2.0)
         assert val == pytest.approx(5.0 ** -0.25, rel=1e-10)
 
     def test_indicator_cdf_oracle(self):
@@ -309,7 +340,7 @@ class TestMCExpectation:
         c = covgen.generate(covgen.AR1(3, 0.6))
         x = decouple.from_covariance(c)
         s = np.array([1.0, 2.0, 0.5])
-        fs = [verify.GaussBump(float(v)) for v in s]
+        fs = [verify.PolyGauss(0, float(v)) for v in s]
         exact = matcore.lu_det(np.eye(3) + 2.0 * c * (1.0 / s)[None, :]) ** -0.5
         est, se = verify.mc_expectation(x, fs, 400_000, seed=5)
         assert abs(est - exact) <= 4.0 * se
@@ -336,7 +367,7 @@ class TestMCExpectation:
         # worker
         monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
         x = decouple.from_covariance(covgen.generate(covgen.AR1(50, 0.5)))
-        fs = [verify.GaussBump(2.0)] * 50
+        fs = [verify.PolyGauss(0, 2.0)] * 50
         start = time.perf_counter()
         with pytest.raises(DeadlineExceeded), deadline(0.2):
             verify.mc_expectation(x, fs, 4_000_000, seed=1)
@@ -357,7 +388,7 @@ class TestMCExpectation:
             verify.mc_expectation(EQUI, [HALF_LINE], 20_000, seed=0)
 
 
-FUNCTION_MIX = [verify.Indicator(-0.5, math.inf), verify.GaussBump(2.0), verify.PolyGauss(1, 3.0)]
+FUNCTION_MIX = [verify.Indicator(-0.5, math.inf), verify.PolyGauss(0, 2.0), verify.PolyGauss(1, 3.0)]
 
 
 def oracle_vector(n, case):
@@ -444,7 +475,7 @@ class TestCheckInequality:
             )
 
     def test_mixed_function_families(self):
-        fs = [verify.GaussBump(1.0), verify.PolyGauss(1, 2.0)]
+        fs = [verify.PolyGauss(0, 1.0), verify.PolyGauss(1, 2.0)]
         res = verify.check_inequality(EQUI, fs, 2.0, samples=150_000, seed=6)
         assert res.passed and res.margin_sigmas > 0.0
 
