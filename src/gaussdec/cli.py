@@ -229,7 +229,7 @@ def _sweep_rows(spec: dict):
     log.debug("sweeping %s over %d values, %d exponents", key, len(param_values), len(p_values))
     for param in param_values:
         doc = dict(family_doc)
-        doc[key] = int(round(param)) if key in ("n", "seed") else param
+        doc[key] = param
         x = decouple.from_covariance(covgen.generate(covgen.family_from_json(doc)))
         reports = [decouple.analyze(x, p, beta) for p in p_values]
         max_inv_xi = decouple.region_of(x).breakpoints[0]
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoupling constants, admissible exponent regions and "
         "determinant bounds for finite Gaussian vectors.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
         p.add_argument("--input", required=True, help="matrix document (JSON or CSV)")
@@ -369,9 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
         return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
     _configure_logging()
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return EXIT_INVALID_INPUT
     try:
         return args.func(args)
     except (NotInRegion, NotAdmissibleClassical, DegenerateBeta) as exc:

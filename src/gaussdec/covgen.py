@@ -17,12 +17,34 @@ from . import matcore
 from .errors import InvalidParameter, NotPositiveDefinite, NotSymmetric, as_int
 
 
+_RANDOM_SPD_EPS = 1e-8
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise InvalidParameter(message)
+
+
+def _check_spd(m: np.ndarray, what: str) -> np.ndarray:
+    try:
+        matcore.cholesky(m)
+    except (NotPositiveDefinite, NotSymmetric) as exc:
+        raise InvalidParameter(f"{what} does not define an SPD matrix: {exc}") from exc
+    return m
+
+
 @dataclass(frozen=True)
 class AR1:
     """C_ij = rho^|i-j| with |rho| < 1."""
 
     n: int
     rho: float
+
+    def matrix(self) -> np.ndarray:
+        _require(self.n >= 1, f"n must be >= 1, got {self.n}")
+        _require(abs(self.rho) < 1.0, f"ar1 needs |rho| < 1, got {self.rho}")
+        idx = np.arange(self.n)
+        return np.power(float(self.rho), np.abs(idx[:, None] - idx[None, :]))
 
 
 @dataclass(frozen=True)
@@ -32,12 +54,34 @@ class Equicorrelated:
     n: int
     rho: float
 
+    def matrix(self) -> np.ndarray:
+        _require(self.n >= 1, f"n must be >= 1, got {self.n}")
+        _require(abs(self.rho) < 1.0, f"equicorrelated needs |rho| < 1, got {self.rho}")
+        if self.n > 1:
+            _require(
+                self.rho > -1.0 / (self.n - 1),
+                f"equicorrelated needs rho > -1/(n-1) = {-1.0 / (self.n - 1):.6g}, got {self.rho}",
+            )
+        m = np.full((self.n, self.n), float(self.rho))
+        np.fill_diagonal(m, 1.0)
+        return m
+
 
 @dataclass(frozen=True)
 class Toeplitz:
     """Symmetric Toeplitz matrix from its first row (must come out SPD)."""
 
     first_row: tuple[float, ...]
+
+    def matrix(self) -> np.ndarray:
+        row = np.asarray(self.first_row, dtype=float).ravel()
+        _require(
+            row.size >= 1 and bool(np.all(np.isfinite(row))),
+            "first_row must be finite and nonempty",
+        )
+        idx = np.arange(row.size)
+        m = row[np.abs(idx[:, None] - idx[None, :])]
+        return _check_spd(m, "toeplitz first_row")
 
 
 @dataclass(frozen=True)
@@ -49,12 +93,39 @@ class RandomSPD:
     seed: int
     cond: float = 10.0
 
+    def matrix(self) -> np.ndarray:
+        _require(self.n >= 2, f"randomspd needs n >= 2, got {self.n}")
+        _require(
+            self.cond > 1.0 and np.isfinite(self.cond),
+            f"randomspd needs cond > 1, got {self.cond}",
+        )
+        rng = np.random.default_rng(self.seed)
+        g = rng.standard_normal((self.n, self.n))
+        base = g.T @ g
+        base += _RANDOM_SPD_EPS * matcore.max_abs(base) * np.eye(self.n)
+        base = (base + base.T) / 2.0
+        eigs = matcore.sym_eigvals(base)
+        lmin, lmax = float(eigs[0]), float(eigs[-1])
+        _require(lmax > lmin, "randomspd spectrum is degenerate; try another seed")
+        # Affine spectral shift: cond((A + c I)) = target exactly.
+        shift = (lmax - self.cond * lmin) / (self.cond - 1.0)
+        m = base + shift * np.eye(self.n)
+        return _check_spd((m + m.T) / 2.0, "randomspd")
+
 
 @dataclass(frozen=True)
 class Diagonal:
     """diag(gamma) with strictly positive entries."""
 
     gamma: tuple[float, ...]
+
+    def matrix(self) -> np.ndarray:
+        gamma = np.asarray(self.gamma, dtype=float).ravel()
+        _require(
+            gamma.size >= 1 and bool(np.all(np.isfinite(gamma))) and bool(np.all(gamma > 0.0)),
+            "diagonal needs strictly positive finite variances",
+        )
+        return np.diag(gamma)
 
 
 @dataclass(frozen=True)
@@ -64,106 +135,24 @@ class Scaled:
     base: "CovFamily"
     variances: tuple[float, ...]
 
+    def matrix(self) -> np.ndarray:
+        v = np.asarray(self.variances, dtype=float).ravel()
+        _require(
+            v.size >= 1 and bool(np.all(np.isfinite(v))) and bool(np.all(v > 0.0)),
+            "scaled needs strictly positive finite variances",
+        )
+        base = self.base.matrix()
+        _require(v.size == base.shape[0], "variances length must match the base family dimension")
+        root = np.sqrt(v)
+        return root[:, None] * base * root[None, :]
+
 
 CovFamily = Union[AR1, Equicorrelated, Toeplitz, RandomSPD, Diagonal, Scaled]
-
-_RANDOM_SPD_EPS = 1e-8
 
 
 def generate(fam: CovFamily) -> np.ndarray:
     """Generate the covariance matrix of a family descriptor."""
-    if isinstance(fam, AR1):
-        return _gen_ar1(fam)
-    if isinstance(fam, Equicorrelated):
-        return _gen_equicorrelated(fam)
-    if isinstance(fam, Toeplitz):
-        return _gen_toeplitz(fam)
-    if isinstance(fam, RandomSPD):
-        return _gen_random_spd(fam)
-    if isinstance(fam, Diagonal):
-        return _gen_diagonal(fam)
-    if isinstance(fam, Scaled):
-        return _gen_scaled(fam)
-    raise InvalidParameter(f"unknown covariance family {fam!r}")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvalidParameter(message)
-
-
-def _gen_ar1(fam: AR1) -> np.ndarray:
-    _require(fam.n >= 1, f"n must be >= 1, got {fam.n}")
-    _require(abs(fam.rho) < 1.0, f"ar1 needs |rho| < 1, got {fam.rho}")
-    idx = np.arange(fam.n)
-    return np.power(float(fam.rho), np.abs(idx[:, None] - idx[None, :]))
-
-
-def _gen_equicorrelated(fam: Equicorrelated) -> np.ndarray:
-    _require(fam.n >= 1, f"n must be >= 1, got {fam.n}")
-    _require(abs(fam.rho) < 1.0, f"equicorrelated needs |rho| < 1, got {fam.rho}")
-    if fam.n > 1:
-        _require(
-            fam.rho > -1.0 / (fam.n - 1),
-            f"equicorrelated needs rho > -1/(n-1) = {-1.0 / (fam.n - 1):.6g}, got {fam.rho}",
-        )
-    m = np.full((fam.n, fam.n), float(fam.rho))
-    np.fill_diagonal(m, 1.0)
-    return m
-
-
-def _check_spd(m: np.ndarray, what: str) -> np.ndarray:
-    try:
-        matcore.cholesky(m)
-    except (NotPositiveDefinite, NotSymmetric) as exc:
-        raise InvalidParameter(f"{what} does not define an SPD matrix: {exc}") from exc
-    return m
-
-
-def _gen_toeplitz(fam: Toeplitz) -> np.ndarray:
-    row = np.asarray(fam.first_row, dtype=float).ravel()
-    _require(row.size >= 1 and bool(np.all(np.isfinite(row))), "first_row must be finite and nonempty")
-    idx = np.arange(row.size)
-    m = row[np.abs(idx[:, None] - idx[None, :])]
-    return _check_spd(m, "toeplitz first_row")
-
-
-def _gen_random_spd(fam: RandomSPD) -> np.ndarray:
-    _require(fam.n >= 2, f"randomspd needs n >= 2, got {fam.n}")
-    _require(fam.cond > 1.0 and np.isfinite(fam.cond), f"randomspd needs cond > 1, got {fam.cond}")
-    rng = np.random.default_rng(fam.seed)
-    g = rng.standard_normal((fam.n, fam.n))
-    base = g.T @ g
-    base += _RANDOM_SPD_EPS * matcore.max_abs(base) * np.eye(fam.n)
-    base = (base + base.T) / 2.0
-    eigs = matcore.sym_eigvals(base)
-    lmin, lmax = float(eigs[0]), float(eigs[-1])
-    _require(lmax > lmin, "randomspd spectrum is degenerate; try another seed")
-    # Affine spectral shift: cond((A + c I)) = target exactly.
-    shift = (lmax - fam.cond * lmin) / (fam.cond - 1.0)
-    m = base + shift * np.eye(fam.n)
-    return _check_spd((m + m.T) / 2.0, "randomspd")
-
-
-def _gen_diagonal(fam: Diagonal) -> np.ndarray:
-    gamma = np.asarray(fam.gamma, dtype=float).ravel()
-    _require(
-        gamma.size >= 1 and bool(np.all(np.isfinite(gamma))) and bool(np.all(gamma > 0.0)),
-        "diagonal needs strictly positive finite variances",
-    )
-    return np.diag(gamma)
-
-
-def _gen_scaled(fam: Scaled) -> np.ndarray:
-    v = np.asarray(fam.variances, dtype=float).ravel()
-    _require(
-        v.size >= 1 and bool(np.all(np.isfinite(v))) and bool(np.all(v > 0.0)),
-        "scaled needs strictly positive finite variances",
-    )
-    base = generate(fam.base)
-    _require(v.size == base.shape[0], "variances length must match the base family dimension")
-    root = np.sqrt(v)
-    return root[:, None] * base * root[None, :]
+    return fam.matrix()
 
 
 def family_from_json(doc: dict) -> CovFamily:

@@ -235,8 +235,8 @@ class SimDiag:
     """Simultaneous diagonalization of the pencil (C, diag(gamma)).
 
     ``r`` = U D V satisfies R^T C R = I and R^T diag(gamma) R = diag(xi),
-    where U diagonalizes C (eigenvalues ``mu``), D = diag(mu^(-1/2)), and V
-    diagonalizes ``h`` = D (U^T diag(gamma) U) D.  The coefficients ``xi``
+    where U diagonalizes C (eigenvalues mu), D = diag(mu^(-1/2)), and V
+    diagonalizes H = D (U^T diag(gamma) U) D.  The coefficients ``xi``
     are the per-column quadratic-form ratios
     <diag(gamma) r_j, r_j> / <C r_j, r_j>, stored ascending so that the
     breakpoints 1/xi are descending.  This is the paper's construction; no
@@ -245,9 +245,7 @@ class SimDiag:
     """
 
     u: np.ndarray
-    mu: np.ndarray
     d: np.ndarray
-    h: np.ndarray
     v: np.ndarray
     r: np.ndarray
     xi: np.ndarray
@@ -278,9 +276,9 @@ def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
     r = r[:, order].copy()
     xi = xi[order].copy()
     d = np.diag(dvec)
-    for arr in (u, mu, d, h, v, r, xi):
+    for arr in (u, d, v, r, xi):
         arr.setflags(write=False)
-    return SimDiag(u=u, mu=mu, d=d, h=h, v=v, r=r, xi=xi)
+    return SimDiag(u=u, d=d, v=v, r=r, xi=xi)
 
 
 def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON integer check."""
+"""Exception types shared across the package, and the integer check."""
 
 
 class GaussdecError(Exception):
@@ -45,7 +45,7 @@ class NotApplicable(GaussdecError):
 
 
 def as_int(value, name: str) -> int:
-    """``value`` as an int for an integer field of a JSON document; booleans,
+    """``value`` as an int for an integer field or count; booleans,
     non-integral numbers and whatever ``int`` refuses (``"2.5"``, None, a
     list) raise InvalidParameter instead of truncating or escaping."""
     lossy = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())

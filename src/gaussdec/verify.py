@@ -241,6 +241,9 @@ def mc_expectation(
 ) -> tuple[float, float]:
     """Sample mean and standard error of prod_i f_i(X_i).
 
+    ``samples`` (at least MIN_SAMPLES) and ``seed`` (at least 0) are read
+    with ``as_int``, so 1e6 is a count and 1.5 is InvalidParameter.
+
     Draws x = L z with L the Cholesky factor of C and z standard normal.
     Reproducibility contract: the sample space is split into chunks of
     MC_CHUNK draws (last chunk smaller); chunk i uses the i-th child of
@@ -257,8 +260,12 @@ def mc_expectation(
     cancels the chunks not yet started and stops the running ones at their
     next block, so the call ends within about one block.
     """
+    samples = as_int(samples, "samples")
+    seed = as_int(seed, "seed")
     if samples < MIN_SAMPLES:
         raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if len(fs) != x.n:
         raise InvalidParameter(f"need {x.n} test functions, got {len(fs)}")
     low = x.cholesky_factor

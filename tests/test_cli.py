@@ -124,6 +124,11 @@ class TestExitCodes:
                     "--seed", "1", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_verify_negative_seed_is_exit_2(self, equi_file, functions_file, capsys):
+        assert run(["verify", "--input", equi_file, "--p", "3", "--functions",
+                    functions_file, "--samples", "20000", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_verify_nodes_flag_is_gone(self, equi_file, functions_file, tmp_path, capsys):
         # the p-norms are closed forms, so there is no quadrature to size
         args = ["verify", "--input", equi_file, "--p", "3", "--functions", functions_file,
@@ -225,7 +230,7 @@ class TestExitCodes:
 
     def test_no_command_is_exit_2(self, capsys):
         assert run([]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("usage: gaussdec")
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +447,7 @@ class TestSweep:
         assert len(rows) == 3 * 21
         for cells in rows:
             doc = dict(family)
-            doc[key] = int(round(float(cells["param"]))) if key == "n" else float(cells["param"])
+            doc[key] = float(cells["param"])
             x = decouple.from_covariance(covgen.generate(covgen.family_from_json(doc)))
             rep = decouple.analyze(x, float(cells["p"]), beta)
             assert cells["in_region_new"] == ("true" if rep.in_region else "false")
@@ -474,6 +479,21 @@ class TestSweep:
         assert not out.exists()
         assert run(["sweep", "--spec", str(spec)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("family, key", [
+        ({"kind": "equicorrelated", "n": "2:4:0.5", "rho": 0.3}, "n"),
+        ({"kind": "randomspd", "n": 3, "seed": "0:2:0.5"}, "seed"),
+    ])
+    def test_non_integral_grid_over_integer_field_is_exit_2(self, tmp_path, capsys,
+                                                            family, key):
+        # covgen judges integer fields: a grid landing on 2.5 is rejected,
+        # not rounded into a row computed at another value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": family, "p_grid": "1.5:3.0:0.5"}))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--spec", str(spec), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 class TestOptimalBeta:
@@ -557,15 +577,26 @@ class TestGoldenFiles:
         self._check(["sweep", "--spec", str(spec)], "sweep_equi.csv", tmp_path)
 
 
-def test_import_leaves_thread_pool_unloaded():
-    # the sampler imports concurrent.futures and its thread module only when
-    # it runs, which spares the commands that do not sample about 3 ms
+def fresh_interpreter(code):
+    """Standard output of ``python -c code`` run with this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, gaussdec.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # the sampler imports concurrent.futures and its thread module only when
+    # it runs, which spares the commands that do not sample about 3 ms
+    code = "import sys, gaussdec.cli; print('concurrent.futures' in sys.modules)"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_package_root_binds_no_public_name():
+    # the modules are the only import path: `from gaussdec import decouple`
+    code = "import gaussdec; print([k for k in vars(gaussdec) if not k.startswith('_')])"
+    assert fresh_interpreter(code) == "[]"

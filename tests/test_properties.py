@@ -3,7 +3,8 @@
 The breakpoints are the eigenvalues of the correlation matrix
 K = diag(1/sigma) C diag(1/sigma), so relabelling the coordinates (P C P^T)
 or rescaling them (D C D) leaves the region and the region constant
-unchanged, and region membership is the sign of det(p*diag(gamma) - C).
+unchanged, region membership is the sign of det(p*diag(gamma) - C), and the
+breakpoints above p count the negative eigenvalues of that matrix.
 Marginal p-norms are nondecreasing in p (Lyapunov) and scale with sigma as
 the test functions do.  The command line answers every finite square matrix
 with a documented exit code.  Examples are derandomized so the suite is
@@ -95,6 +96,20 @@ def test_parity_is_determinant_sign(c, p):
     for q in probes(region, extra=(p,)):
         det = matcore.lu_det(decouple.shifted_matrix(x, q))
         assert region.contains(q) == (det > 0.0)
+
+
+@PROPERTY
+@given(c=covariances(), p=st.floats(1.0, 50.0, exclude_min=True))
+def test_breakpoints_above_count_negative_eigenvalues(c, p):
+    # Sylvester's law of inertia: p*diag(gamma) - C is congruent to p*I - K,
+    # so its negative eigenvalues are the breakpoints above p, counted with
+    # multiplicity; LAPACK's eigvalsh stands in for an LDL^T inertia count
+    x = decouple.from_covariance(c)
+    region = decouple.region_of(x)
+    for q in probes(region, extra=(p,)):
+        above = sum(1 for b in region.breakpoints if b > q)
+        negative = int(np.sum(np.linalg.eigvalsh(decouple.shifted_matrix(x, q)) < 0.0))
+        assert above == negative
 
 
 def parity_rule(region, p):

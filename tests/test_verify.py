@@ -360,6 +360,22 @@ class TestMCExpectation:
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 100, seed=0)
 
+    def test_integral_float_samples_is_a_count(self):
+        fs = [HALF_LINE, HALF_LINE]
+        got = verify.mc_expectation(EQUI, fs, 1e5, seed=3)
+        assert got == verify.mc_expectation(EQUI, fs, 100_000, seed=3)
+        result = verify.check_inequality(EQUI, fs, 3.0, samples=1e5, seed=3)
+        assert result.samples == 100_000 and result.lhs_estimate == got[0]
+
+    @pytest.mark.parametrize("samples, seed, name", [
+        (20_000, -1, "seed"),
+        (20_000, 1.5, "seed"),
+        (20_000.5, 0, "samples"),
+    ])
+    def test_counts_are_integers(self, samples, seed, name):
+        with pytest.raises(InvalidParameter, match=name):
+            verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], samples, seed)
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_deadline_cancels_queued_chunks(self, deadline, monkeypatch, workers):
         # 62 chunks at n = 50 take seconds; an alarm in the calling thread
