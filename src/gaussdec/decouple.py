@@ -17,12 +17,11 @@ different constants Q:
 Every output here comes from the eigenvalues lambda of K, computed once per
 vector by the values-only solver ``matcore.sym_eigvals``: the breakpoints
 1/xi_j = lambda_j, the region, and both constants, which depend on C only
-through lambda because det C = prod(gamma_i) * prod(lambda_j).  Only
-``b_matrix`` needs the eigenvectors Q of K = Q diag(lambda) Q^T; they are
-computed, once, when it first asks.  The paper's construction
-R = U D V from two symmetric eigendecompositions is built on request by
-``simultaneous_diagonalization``; the tests check its defining relations,
-and ``correlation_eigs_oracle`` checks lambda with an independent solver.
+through lambda because det C = prod(gamma_i) * prod(lambda_j).  No output
+reads an eigenvector.  The paper's construction R = U D V from two symmetric
+eigendecompositions is built on request by ``simultaneous_diagonalization``;
+the tests check its defining relations, and ``correlation_eigs_oracle``
+checks lambda with an independent solver.
 
 The admissible set for ``q_new`` excludes the breakpoints and keeps the
 exponents p for which the count of breakpoints above p is even; this is
@@ -72,8 +71,7 @@ class GaussianVector:
     diag(C) and ``sigma`` their square roots.  Instances are immutable.  The
     eigenvalues of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
     which give xi, the region and both constants, are computed once on first
-    use and cached; its eigenvectors are computed and cached only for
-    ``b_matrix``.
+    use and cached.
     """
 
     c: np.ndarray
@@ -98,18 +96,12 @@ class GaussianVector:
         return lam
 
     @cached_property
-    def _spectrum(self) -> matcore.Spectrum:
-        """K = Q diag(lambda) Q^T, for ``b_matrix`` alone; its eigenvalues
-        are the bits of ``_eigenvalues``."""
-        return matcore.sym_eigen(self._correlation())
-
-    @cached_property
     def _log_det_k(self) -> float:
         return float(np.sum(np.log(self._eigenvalues)))
 
     @cached_property
     def _region(self) -> "AdmissibleRegion":
-        return admissible_region(1.0 / self._eigenvalues)
+        return admissible_region(self._eigenvalues)
 
 
 def from_covariance(c) -> GaussianVector:
@@ -306,10 +298,11 @@ class Interval:
 class AdmissibleRegion:
     """The admissible subset of (1, inf) for the region constant.
 
-    ``breakpoints`` is the raw multiset {1/xi_j}, descending.  ``intervals``
-    partition (1, inf) minus the breakpoints, in ascending order; an interval
-    is admissible iff the number of breakpoints strictly above it is even
-    (counting multiplicity), so the topmost interval is always admissible.
+    ``breakpoints`` is the raw multiset {lambda_j} = {1/xi_j}, descending.
+    ``intervals`` partition (1, inf) minus the breakpoints, in ascending
+    order; an interval is admissible iff the number of breakpoints strictly
+    above it is even (counting multiplicity), so the topmost interval is
+    always admissible.
     """
 
     breakpoints: tuple[float, ...]
@@ -345,13 +338,13 @@ class AdmissibleRegion:
         }
 
 
-def admissible_region(xi) -> AdmissibleRegion:
-    """Build the admissible region from the coefficients xi (all > 0), whose
-    reciprocals are the breakpoints."""
-    arr = np.asarray(xi, dtype=float).ravel()
+def admissible_region(breakpoints) -> AdmissibleRegion:
+    """Build the admissible region from the breakpoints lambda_j = 1/xi_j
+    (all > 0), in any order."""
+    arr = np.asarray(breakpoints, dtype=float).ravel()
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidParameter("xi must be a nonempty list of positive finite reals")
-    bps = np.sort(1.0 / arr)[::-1]
+        raise InvalidParameter("breakpoints must be a nonempty list of positive finite reals")
+    bps = np.sort(arr)[::-1]
 
     groups: list[list] = []
     for b in bps:
@@ -421,21 +414,6 @@ def det_identity_residual(x: GaussianVector, p: float) -> float:
     return 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
 
 
-def b_matrix(x: GaussianVector, p: float) -> np.ndarray:
-    """The shifted precision matrix C^{-1} - (1/p) diag(1/gamma).
-
-    Its determinant equals det(p*diag(gamma) - C) / (p^n det(C) prod gamma_j),
-    which the tests verify against the pivoted-LU route.  Built as
-    W diag(1/lambda - 1/p) W^T with W = diag(1/sigma) Q, since C^{-1} =
-    W diag(1/lambda) W^T and diag(1/gamma) = W W^T.
-    """
-    if not p > 0.0:
-        raise InvalidParameter(f"p must be positive, got {p}")
-    w = x._spectrum.eigenvectors / x.sigma[:, np.newaxis]
-    b = (w * (1.0 / x._eigenvalues - 1.0 / p)) @ w.T
-    return (b + b.T) / 2.0
-
-
 @dataclass(frozen=True)
 class DecouplingReport:
     """Aggregate of both constants and the identity self-check at one p.
@@ -443,8 +421,8 @@ class DecouplingReport:
     ``q_new`` is present iff ``in_region``; ``q_old`` is present iff a valid
     beta_bar exists and p >= beta_bar * p(X).  ``b_positive_definite`` records
     whether p exceeds every breakpoint lambda_j = 1/xi_j, i.e. whether the
-    shifted precision matrix is positive definite rather than merely of
-    positive determinant.
+    shifted precision matrix C^{-1} - (1/p) diag(1/gamma) is positive
+    definite rather than merely of positive determinant.
     """
 
     p: float

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the integer check."""
 
+import numbers
+
 
 class GaussdecError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -48,7 +50,11 @@ def as_int(value, name: str) -> int:
     """``value`` as an int for an integer field or count; booleans,
     non-integral numbers and whatever ``int`` refuses (``"2.5"``, None, a
     list) raise InvalidParameter instead of truncating or escaping."""
-    lossy = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    lossy = isinstance(value, bool) or (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    )
     if not lossy:
         try:
             return int(value)

@@ -6,14 +6,14 @@ routine is called: orthogonal bases are built exclusively from Householder
 reflections and Jacobi rotations, which stay orthonormal to machine precision
 regardless of conditioning.
 
-Two independent eigensolvers are provided on purpose.  ``sym_eigen``
-(Householder tridiagonalization followed by implicitly shifted QL sweeps) is
-the production path; ``jacobi_eigen`` (cyclic two-sided rotations) shares no
-code with it and is a values-only oracle, for ``correlation_eigs_oracle`` and
-the test suite.  The production path has a values-only form, ``sym_eigvals``:
-the same reduction and QL loop with no basis accumulated in either, an order
-of magnitude cheaper in pure Python, and bit for bit the eigenvalues
-``sym_eigen`` returns.
+Two independent eigensolvers are provided on purpose.  ``sym_eigvals``
+(Householder tridiagonalization followed by implicitly shifted QL sweeps,
+with no basis accumulated) is the production path; ``jacobi_eigen`` (cyclic
+two-sided rotations) shares no code with it and is a values-only oracle, for
+``correlation_eigs_oracle`` and the test suite.  ``sym_eigen`` runs the same
+reduction and QL loop while accumulating the eigenvectors, an order of
+magnitude dearer in pure Python, and returns bit for bit the eigenvalues of
+``sym_eigvals``; only ``decouple.simultaneous_diagonalization`` calls it.
 """
 
 from __future__ import annotations

@@ -247,9 +247,9 @@ def mc_expectation(
     Draws x = L z with L the Cholesky factor of C and z standard normal.
     Reproducibility contract: the sample space is split into chunks of
     MC_CHUNK draws (last chunk smaller); chunk i uses the i-th child of
-    numpy's SeedSequence(seed) and results are merged by count-weighted sums,
-    so the estimate is bit-identical for a given (seed, samples) no matter
-    how the chunks are executed.
+    numpy's SeedSequence(seed), and each chunk's sum and centred sum of
+    squares are merged in chunk order, so the estimate is bit-identical for a
+    given (seed, samples) no matter how the chunks are executed.
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
@@ -289,12 +289,16 @@ def mc_expectation(
         stop.set()
         pool.shutdown(cancel_futures=True)
     total = 0.0
-    total_sq = 0.0
-    for chunk_total, chunk_sq in sums:
-        total += chunk_total
-        total_sq += chunk_sq
+    for chunk_sum, _ in sums:
+        total += chunk_sum
     mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    # Chan, Golub and LeVeque's merge of the chunks' centred sums of squares;
+    # unlike one-pass sums of v and v*v it does not cancel when v is nearly
+    # constant.
+    m2 = 0.0
+    for m, (chunk_sum, chunk_m2) in zip(sizes, sums):
+        m2 += chunk_m2 + m * (chunk_sum / m - mean) ** 2
+    var = m2 / (samples - 1)
     return mean, math.sqrt(var / samples)
 
 
@@ -313,8 +317,9 @@ def _chunk_sums(
     seed: np.random.SeedSequence,
     stop: threading.Event,
 ) -> tuple[float, float]:
-    """sum(v) and sum(v*v) over one chunk of m draws, v = prod_i f_i(X_i);
-    NaNs, abandoning the chunk, once ``stop`` is set by a failed call.
+    """sum(v) and the centred sum of squares sum((v - mean(v))^2) over one
+    chunk of m draws, v = prod_i f_i(X_i); NaNs, abandoning the chunk, once
+    ``stop`` is set by a failed call.
 
     The normals come from consecutive standard_normal calls, which consume
     the stream exactly as one (m, n) call does.  Each block of x = z L^T is
@@ -333,7 +338,9 @@ def _chunk_sums(
         prod.fill(1.0)
         for f, row in zip(fs, rows):
             prod *= f.evaluate(row)
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+    total = float(np.sum(vals))
+    vals -= total / m
+    return total, float(np.sum(vals * vals))
 
 
 @dataclass(frozen=True)

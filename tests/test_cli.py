@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdec import cli, covgen, decouple
+from gaussdec import cli, covgen, decouple, matcore
 from gaussdec import verify as verify_lib
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -511,6 +511,86 @@ class TestOptimalBeta:
     def test_invalid_beta_still_rejected(self, equi_file):
         assert run(["analyze", "--input", equi_file, "--p", "3", "--beta", "0.5",
                     "--optimal-beta"]) == 2
+
+
+class TestOneSpectrumPerCommand:
+    """Every command takes the region, both constants and the identity from
+    one values-only eigensolve of the correlation matrix per covariance, and
+    none builds an eigenvector."""
+
+    FAMILIES = [covgen.RandomSPD(5, seed=12, cond=30.0), covgen.Equicorrelated(2, 0.2)]
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"sym_eigvals": 0, "sym_eigen": 0}
+        vectors = []
+        for name in calls:
+            original = getattr(matcore, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(matcore, name, wrapper)
+        from_covariance = decouple.from_covariance
+
+        def recording(c):
+            vectors.append(from_covariance(c))
+            return vectors[-1]
+
+        monkeypatch.setattr(decouple, "from_covariance", recording)
+        return calls, vectors
+
+    def commands(self, tmp_path, family):
+        c = covgen.generate(family)
+        x = decouple.from_covariance(c)
+        lam_max = float(x._eigenvalues[-1])
+        threshold = decouple.least_beta_bar(x, 2.0) * decouple.decoupling_coefficient(x)
+        p = 1.0 + max(lam_max, threshold)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cli.matrix_to_document(c)))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "indicator", "a": 0, "b": "inf"}] * x.n))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": {"kind": "ar1", "n": 4, "rho": "0.1:0.5:0.2"},
+            "p_grid": "2.0:4.0:1.0",
+        }))
+        common = ["--input", str(path)]
+        verify = ["verify", *common, "--p", repr(p), "--functions", str(fns),
+                  "--samples", "10000"]
+        return [
+            ["analyze", *common, "--p", repr(p), "--beta", "2"],
+            ["analyze", *common, "--p", repr(p), "--optimal-beta"],
+            ["region", *common],
+            ["bounds", *common, "--p", repr(p), "--beta", "2"],
+            [*verify, "--constant", "new"],
+            [*verify, "--constant", "old"],
+            ["sweep", "--spec", str(spec)],
+        ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=["randomspd", "equicorrelated"])
+    def test_one_values_only_eigensolve(self, tmp_path, capsys, counted, family):
+        calls, vectors = counted
+        for argv in self.commands(tmp_path, family):
+            calls.update(sym_eigvals=0, sym_eigen=0)
+            vectors.clear()
+            assert run(argv) == 0, argv
+            assert vectors, argv
+            assert calls["sym_eigvals"] <= len(vectors), argv
+            assert calls["sym_eigen"] == 0, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=["randomspd", "equicorrelated"])
+    def test_region_and_definiteness_read_the_cached_bits(self, family):
+        x = decouple.from_covariance(covgen.generate(family))
+        breakpoints = decouple.region_of(x).breakpoints
+        assert breakpoints == tuple(reversed(x._eigenvalues))
+        for direction in (-math.inf, math.inf):
+            p = math.nextafter(float(x._eigenvalues[-1]), direction)
+            rep = decouple.analyze(x, p, beta=2.0)
+            assert rep.b_positive_definite == (p > breakpoints[0])
+            assert rep.b_positive_definite == (direction > 0)
 
 
 class TestMiscellaneous:

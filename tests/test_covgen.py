@@ -187,6 +187,20 @@ def test_as_int_rejects_what_int_refuses(value):
         as_int(value, "n")
 
 
+@pytest.mark.parametrize(
+    "value", [np.float32(20000.5), np.float16(2.5), np.float64(3.7), np.float32("inf")]
+)
+def test_as_int_rejects_non_integral_numpy_floats(value):
+    # int() would truncate these (or overflow on inf) instead of refusing them
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        as_int(value, "samples")
+
+
+@pytest.mark.parametrize("value", [np.float32(20000.0), np.float16(4.0), np.int64(7)])
+def test_as_int_accepts_integral_numpy_numbers(value):
+    assert as_int(value, "samples") == int(value)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidParameter):
         covgen.family_from_json({"kind": "wishart", "n": 3})

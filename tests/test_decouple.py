@@ -231,7 +231,7 @@ class TestSimultaneousDiagonalization:
         det_ratio = matcore.lu_det(x.c) / float(np.prod(x.gamma))
         prod_inv = float(np.prod(inv_xi))
         assert abs(prod_inv - det_ratio) <= 1e-8 * max(abs(det_ratio), abs(prod_inv))
-        # the production path: the region's breakpoints, from sym_eigen of K
+        # the production path: the region's breakpoints, the cached eigenvalues of K
         breakpoints = np.array(decouple.region_of(x).breakpoints)
         assert np.max(np.abs(breakpoints - oracle)) <= 1e-10 * scale
 
@@ -267,11 +267,6 @@ class TestSimultaneousDiagonalization:
         for p, a in zip(ps, det_args):
             np.testing.assert_array_equal(a, decouple.shifted_matrix(x, p))
         assert not any(np.array_equal(a, x.c) for a in det_args)
-        # the eigenvectors are computed once, for b_matrix alone
-        decouple.b_matrix(x, 2.5)
-        assert calls == {"sym_eigvals": 1, "sym_eigen": 1}
-        decouple.b_matrix(x, 12.0)
-        assert calls == {"sym_eigvals": 1, "sym_eigen": 1}
 
 
 class TestCorrelationOracle:
@@ -297,12 +292,12 @@ class TestAdmissibleRegion:
         assert iv.lo == 1.0 and math.isinf(iv.hi) and iv.admissible
 
     def test_equicorrelated_shape(self):
-        region = decouple.admissible_region([1.0 / 1.5, 1.0 / 0.5])
+        region = decouple.admissible_region([1.5, 0.5])
         tags = [(iv.lo, iv.hi, iv.admissible) for iv in region.intervals]
         assert tags == [(1.0, 1.5, False), (1.5, math.inf, True)]
 
     def test_three_breakpoints_parity(self):
-        region = decouple.admissible_region(1.0 / np.array([1.8, 1.1, 0.1]))
+        region = decouple.admissible_region([1.8, 1.1, 0.1])
         tags = [(round(iv.lo, 12), iv.admissible) for iv in region.intervals]
         assert tags == [(1.0, True), (1.1, False), (1.8, True)]
         assert region.contains(1.05)
@@ -310,19 +305,19 @@ class TestAdmissibleRegion:
         assert region.contains(2.5)
 
     def test_breakpoints_excluded_with_margin(self):
-        region = decouple.admissible_region([1.0 / 1.5, 2.0])
+        region = decouple.admissible_region([1.5, 0.5])
         assert not region.contains(1.5)
         assert not region.contains(1.5 + 1e-10)
         assert region.contains(1.5 + 1e-6)
 
     def test_topmost_always_admissible(self):
-        region = decouple.admissible_region([0.2, 0.4, 3.0])
+        region = decouple.admissible_region([5.0, 2.5, 1.0 / 3.0])
         assert region.intervals[-1].admissible
         assert math.isinf(region.intervals[-1].hi)
 
     def test_multiplicity_parity(self):
         # double breakpoint at 1.4: interval below it keeps even parity
-        region = decouple.admissible_region([1.0 / 1.4, 1.0 / 1.4, 5.0])
+        region = decouple.admissible_region([1.4, 1.4, 0.2])
         tags = [(round(iv.lo, 12), iv.admissible) for iv in region.intervals]
         assert tags == [(1.0, True), (1.4, True)]
 
@@ -386,21 +381,30 @@ class TestDetIdentity:
         assert matcore.lu_det(decouple.shifted_matrix(x, 1.2)) < 0.0
 
 
+def b_matrix(x, p):
+    """The shifted precision matrix B = C^{-1} - (1/p) diag(1/gamma), from the
+    paper's R: R^T C R = I gives C^{-1} = R R^T, and R^T diag(gamma) R =
+    diag(xi) gives diag(1/gamma) = R diag(1/xi) R^T, so
+    B = R diag(1 - 1/(p xi)) R^T."""
+    sd = decouple.simultaneous_diagonalization(x)
+    return (sd.r * (1.0 - 1.0 / (p * sd.xi))) @ sd.r.T
+
+
 class TestBMatrix:
     def test_identity(self):
         x = decouple.from_covariance(np.eye(2))
-        np.testing.assert_allclose(decouple.b_matrix(x, 2.0), np.eye(2) / 2.0, atol=1e-14)
+        np.testing.assert_allclose(b_matrix(x, 2.0), np.eye(2) / 2.0, atol=1e-14)
 
     def test_scalar(self):
         x = decouple.from_covariance([[4.0]])
-        np.testing.assert_allclose(decouple.b_matrix(x, 2.0), [[1.0 / 8.0]], atol=1e-15)
+        np.testing.assert_allclose(b_matrix(x, 2.0), [[1.0 / 8.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_det_consistency(self, seed):
         # det(B) * p^n * det(C) * prod(gamma) == det(p diag(gamma) - C)
         x = random_vector(5, seed=800 + seed)
         for p in (1.3, 2.0, 4.0):
-            b = decouple.b_matrix(x, p)
+            b = b_matrix(x, p)
             lhs = matcore.lu_det(b) * p ** x.n * matcore.lu_det(x.c) * float(np.prod(x.gamma))
             rhs = matcore.lu_det(decouple.shifted_matrix(x, p))
             assert lhs == pytest.approx(rhs, rel=1e-8)

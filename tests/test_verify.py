@@ -22,14 +22,13 @@ EQUI = decouple.from_covariance([[1.0, 0.5], [0.5, 1.0]])
 HALF_LINE = verify.Indicator(0.0, math.inf)
 
 
-def sequential_mc_expectation(x, fs, samples, seed):
-    """The sampler as one sequential loop over whole chunks: the reference
-    that the concurrent, row-blocked sampler must match bit for bit."""
+def sequential_chunk_values(x, fs, samples, seed):
+    """The products v = prod_i f_i(X_i) of each chunk, drawn by one sequential
+    loop over whole chunks."""
     low = x.cholesky_factor
     n_chunks = (samples + verify.MC_CHUNK - 1) // verify.MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    total = 0.0
-    total_sq = 0.0
+    out = []
     left = samples
     for child in children:
         m = min(verify.MC_CHUNK, left)
@@ -40,10 +39,26 @@ def sequential_mc_expectation(x, fs, samples, seed):
         vals = np.ones(m)
         for j, f in enumerate(fs):
             vals *= f.evaluate(xs[:, j])
+        out.append(vals)
+    return out
+
+
+def sequential_mc_expectation(x, fs, samples, seed):
+    """The sampler as one sequential loop over whole chunks: the reference
+    that the concurrent, row-blocked sampler must match bit for bit.  Each
+    chunk gives its sum and centred sum of squares, merged as Chan, Golub and
+    LeVeque do."""
+    chunks = sequential_chunk_values(x, fs, samples, seed)
+    total = 0.0
+    for vals in chunks:
         total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
     mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    m2 = 0.0
+    for vals in chunks:
+        chunk_sum = float(np.sum(vals))
+        dev = vals - chunk_sum / vals.size
+        m2 += float(np.sum(dev * dev)) + vals.size * (chunk_sum / vals.size - mean) ** 2
+    var = m2 / (samples - 1)
     return mean, math.sqrt(var / samples)
 
 
@@ -356,6 +371,16 @@ class TestMCExpectation:
             est, se = verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], samples, seed=10)
             assert 0.0 <= est <= 1.0 and se > 0.0
 
+    def test_stderr_of_a_nearly_constant_product(self):
+        # v = exp(-(X_1^2 + X_2^2) / 1e9) stays within about 1e-8 of 1, where
+        # one-pass sums of v and v*v cancel to a sixfold stderr
+        x = decouple.from_covariance(np.eye(2))
+        fs = [verify.PolyGauss(0, 1e9)] * 2
+        _, se = verify.mc_expectation(x, fs, 200_000, seed=0)
+        vals = np.concatenate(sequential_chunk_values(x, fs, 200_000, seed=0))
+        two_pass = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
+        assert se == pytest.approx(two_pass, rel=1e-6)
+
     def test_sample_floor(self):
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 100, seed=0)
@@ -371,6 +396,7 @@ class TestMCExpectation:
         (20_000, -1, "seed"),
         (20_000, 1.5, "seed"),
         (20_000.5, 0, "samples"),
+        (np.float32(20_000.5), 0, "samples"),
     ])
     def test_counts_are_integers(self, samples, seed, name):
         with pytest.raises(InvalidParameter, match=name):
