@@ -94,6 +94,14 @@ def _fix_signs(z: np.ndarray) -> None:
             z[:, j] = -z[:, j]
 
 
+def _scaled_outer(u: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
+    """beta * outer(u, w) in one array: (u_i w_j) beta has the bits of
+    beta (u_i w_j), since multiplication commutes."""
+    out = u[:, None] * w
+    out *= beta
+    return out
+
+
 def _householder_tridiag(
     m: np.ndarray, accumulate: bool
 ) -> tuple[list[float], list[float], np.ndarray | None]:
@@ -119,10 +127,10 @@ def _householder_tridiag(
         if vsq == 0.0:
             continue
         beta = 2.0 / vsq
-        a[k + 1 :, :] -= beta * np.outer(v, v @ a[k + 1 :, :])
-        a[:, k + 1 :] -= beta * np.outer(a[:, k + 1 :] @ v, v)
+        a[k + 1 :, :] -= _scaled_outer(v, v @ a[k + 1 :, :], beta)
+        a[:, k + 1 :] -= _scaled_outer(a[:, k + 1 :] @ v, v, beta)
         if q is not None:
-            q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, v)
+            q[:, k + 1 :] -= _scaled_outer(q[:, k + 1 :] @ v, v, beta)
     a = (a + a.T) / 2.0
     return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0], q
 
@@ -311,5 +319,5 @@ def lu_det(a) -> float:
         det *= float(m[k, k])
         if k + 1 < n:
             factors = m[k + 1 :, k] / m[k, k]
-            m[k + 1 :, k + 1 :] -= np.outer(factors, m[k, k + 1 :])
+            m[k + 1 :, k + 1 :] -= factors[:, None] * m[k, k + 1 :]
     return float(det)

@@ -12,7 +12,8 @@ Pieces:
 * seeded, chunked Monte Carlo estimation of E prod f_i(X_i) by sampling
   x = L z with the Cholesky factor L of C: the chunks run concurrently on a
   thread pool sized by the CPU affinity mask, each one in blocks of
-  MC_BLOCK rows, and the estimate is bit-identical however they are run;
+  MC_BLOCK rows drawn, multiplied and evaluated in buffers the chunk
+  allocates once, and the estimate is bit-identical however they are run;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -53,8 +54,11 @@ class Indicator:
         if math.isnan(self.a) or math.isnan(self.b) or not self.a < self.b:
             raise InvalidParameter(f"indicator needs a < b, got ({self.a}, {self.b})")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return ((x > self.a) & (x < self.b)).astype(float)
+    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f(x) as floats, written into ``out`` (and returned) when given."""
+        if out is None:
+            out = np.empty(np.shape(x))
+        return np.logical_and(x > self.a, x < self.b, out=out)
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,16 @@ class PolyGauss:
         if not (math.isfinite(self.s) and self.s > 0.0):
             raise InvalidParameter(f"polygauss needs s > 0, got {self.s}")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        bump = np.exp(-(x * x) / self.s)
+    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f(x), written into ``out`` (and returned) when given."""
+        bump = np.multiply(x, x, out=out)
+        # (x*x)/(-s) has the bits of -(x*x)/s: IEEE division is sign-symmetric
+        bump /= -self.s
+        np.exp(bump, out=bump)
         # |x|^0 * bump has the bits of bump; skipping the product halves the cost
-        return bump if self.k == 0 else np.abs(x) ** self.k * bump
+        if self.k:
+            bump *= np.abs(x) ** self.k
+        return bump
 
 
 TestFunction = Indicator | PolyGauss
@@ -254,11 +264,13 @@ def mc_expectation(
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
     chunks), and their sums are merged in chunk order.  Each chunk draws and
-    evaluates its normals in blocks of MC_BLOCK rows, so memory is bounded by
-    workers x MC_BLOCK x n whatever the sample count.  An exception in a
-    worker, or one raised in the calling thread (an alarm, an interrupt),
-    cancels the chunks not yet started and stops the running ones at their
-    next block, so the call ends within about one block.
+    evaluates its normals in blocks of MC_BLOCK rows, reusing one set of
+    buffers, so memory is bounded by about
+    workers x (2 MC_BLOCK n + MC_CHUNK + MC_BLOCK) floats whatever the
+    sample count.  An exception in a worker, or one raised in the calling
+    thread (an alarm, an interrupt), cancels the chunks not yet started and
+    stops the running ones at their next block, so the call ends within
+    about one block.
     """
     samples = as_int(samples, "samples")
     seed = as_int(seed, "seed")
@@ -321,26 +333,40 @@ def _chunk_sums(
     chunk of m draws, v = prod_i f_i(X_i); NaNs, abandoning the chunk, once
     ``stop`` is set by a failed call.
 
-    The normals come from consecutive standard_normal calls, which consume
-    the stream exactly as one (m, n) call does.  Each block of x = z L^T is
-    transposed once, so every f_i reads a contiguous row; the products keep
-    the order ((1 * f_1) * f_2) * ... of the whole-chunk evaluation.
+    The chunk allocates its buffers once and reuses them for every block of
+    MC_BLOCK rows: the normals are drawn into z by consecutive
+    standard_normal calls, which consume the stream exactly as one (m, n)
+    call does, and one matmul lands x = L z^T as n contiguous rows, so every
+    f_i reads a row and writes into one work row.  The last, shorter block
+    forms its own x as the transpose of z L^T: there OpenBLAS's L z^T can
+    differ in the last bit (at row counts above 192 that are not multiples
+    of 8), while the rows of z L^T keep the bits of the whole-chunk product.
+    The products keep the order ((1 * f_1) * f_2) * ... of the whole-chunk
+    evaluation.
     """
     rng = np.random.default_rng(seed)
+    n = low.shape[0]
     vals = np.empty(m)
+    z = np.empty((min(m, MC_BLOCK), n))
+    x = np.empty((n, MC_BLOCK))
+    work = np.empty(min(m, MC_BLOCK))
     for start in range(0, m, MC_BLOCK):
         if stop.is_set():
             return math.nan, math.nan
-        end = min(start + MC_BLOCK, m)
-        z = rng.standard_normal((end - start, low.shape[0]))
-        rows = np.ascontiguousarray((z @ low.T).T)
-        prod = vals[start:end]
+        rows = min(MC_BLOCK, m - start)
+        zb = rng.standard_normal(out=z[:rows])
+        if rows == MC_BLOCK:
+            xb = np.matmul(low, zb.T, out=x)
+        else:
+            xb = np.ascontiguousarray((zb @ low.T).T)
+        prod = vals[start : start + rows]
         prod.fill(1.0)
-        for f, row in zip(fs, rows):
-            prod *= f.evaluate(row)
+        for f, row in zip(fs, xb):
+            prod *= f.evaluate(row, work[:rows])
     total = float(np.sum(vals))
     vals -= total / m
-    return total, float(np.sum(vals * vals))
+    vals *= vals
+    return total, float(np.sum(vals))
 
 
 @dataclass(frozen=True)

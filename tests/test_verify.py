@@ -4,6 +4,7 @@ oracles, and the end-to-end inequality check."""
 
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,6 +21,10 @@ from gaussdec.errors import (
 
 EQUI = decouple.from_covariance([[1.0, 0.5], [0.5, 1.0]])
 HALF_LINE = verify.Indicator(0.0, math.inf)
+
+
+def float_bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def sequential_chunk_values(x, fs, samples, seed):
@@ -87,6 +92,45 @@ class TestTestFunctions:
         x = np.linspace(-2, 2, 5)
         assert verify.Indicator(-1.0, 1.0).evaluate(x).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
         assert verify.PolyGauss(0, 2.0).evaluate(x)[2] == 1.0  # |0|^0 = 1
+
+    @pytest.mark.parametrize("f", [
+        verify.Indicator(-1.0, 2.0),
+        verify.Indicator(-math.inf, 0.5),
+        verify.Indicator(0.5, math.inf),
+        verify.Indicator(-math.inf, math.inf),
+        verify.PolyGauss(0, 1.5),
+        verify.PolyGauss(1, 0.7),
+        verify.PolyGauss(2, 3.0),
+        verify.PolyGauss(5, 2.0),
+    ])
+    def test_evaluate_into_out(self, f):
+        # writing into out gives the bits of a fresh result, and of the
+        # expressions the sampler used before it wrote into a work row; NaN
+        # inputs give NaN either way (IEEE leaves the sign of a NaN result
+        # open)
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, 5e-324, 0.5, -1.0, 40.0, math.inf, -math.inf, math.nan]
+        x = np.concatenate([4.0 * rng.standard_normal(64), special])
+        out = np.full(x.size, 7.0)
+        with np.errstate(invalid="ignore"):  # |inf|^k * exp(-inf) is NaN
+            fresh = f.evaluate(x)
+            got = f.evaluate(x, out)
+            if isinstance(f, verify.Indicator):
+                before = ((x > f.a) & (x < f.b)).astype(float)
+            else:
+                bump = np.exp(-(x * x) / f.s)
+                before = bump if f.k == 0 else np.abs(x) ** f.k * bump
+        assert got is out
+        assert np.array_equal(float_bits(got), float_bits(fresh))
+        nan = np.isnan(before)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(float_bits(got)[~nan], float_bits(before)[~nan])
+
+    def test_open_interval_excludes_infinite_ends(self):
+        x = np.array([-math.inf, math.inf, math.nan, 0.0])
+        for out in (None, np.empty(4)):
+            assert verify.Indicator(-math.inf, 1.0).evaluate(x, out).tolist() == [0, 0, 0, 1]
+            assert verify.Indicator(-math.inf, math.inf).evaluate(x, out).tolist() == [0, 0, 0, 1]
 
     def test_parse_round_trip(self):
         doc = [
@@ -418,12 +462,29 @@ class TestMCExpectation:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_error_surfaces(self, monkeypatch, workers):
         class Exploding:
-            def evaluate(self, x):
+            def evaluate(self, x, out=None):
                 raise FloatingPointError("evaluate failed")
 
         monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
         with pytest.raises(FloatingPointError):
             verify.mc_expectation(EQUI, [HALF_LINE, Exploding()], 5 * verify.MC_CHUNK, seed=2)
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        # each worker holds one chunk's products and one block of normals,
+        # samples and function values, whatever the sample count
+        workers = 2
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        n = 50
+        x = decouple.from_covariance(covgen.generate(covgen.AR1(n, 0.5)))
+        fs = [FUNCTION_MIX[j % 3] for j in range(n)]
+        per_worker = 2 * verify.MC_BLOCK * n + verify.MC_CHUNK + verify.MC_BLOCK
+        tracemalloc.start()
+        try:
+            verify.mc_expectation(x, fs, 1_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * workers * per_worker * 8
 
     def test_function_count_checked(self):
         with pytest.raises(InvalidParameter):
@@ -442,6 +503,18 @@ def oracle_vector(n, case):
     fam = families[case % 3] if n > 1 else covgen.AR1(1, 0.0)
     fs = [FUNCTION_MIX[(j + case) % 3] for j in range(n)]
     return decouple.from_covariance(covgen.generate(fam)), fs
+
+
+class Recorder:
+    """A test function that keeps a copy of every row it is handed and
+    returns ones."""
+
+    def __init__(self):
+        self.rows = []
+
+    def evaluate(self, x, out=None):
+        self.rows.append(x.copy())
+        return np.ones(np.shape(x))
 
 
 class TestSamplerMatchesSequentialLoop:
@@ -469,6 +542,25 @@ class TestSamplerMatchesSequentialLoop:
         for workers in (1, 3):
             monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
             assert verify.mc_expectation(x, fs, samples, seed=case) == expected
+
+    @pytest.mark.parametrize("samples", [
+        # a last block of 1815 rows, and a second chunk of one such block
+        verify.MIN_SAMPLES + 7,
+        verify.MC_CHUNK + 1815,
+    ])
+    def test_rows_are_the_whole_chunk_product(self, monkeypatch, samples):
+        # every test function reads its coordinate of z L^T with the bits of
+        # the whole-chunk product, in full blocks and in a last block whose
+        # row count is not a multiple of 8
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        n = 13
+        x = decouple.from_covariance(covgen.generate(covgen.RandomSPD(n, seed=n, cond=20.0)))
+        got = [Recorder() for _ in range(n)]
+        expected = [Recorder() for _ in range(n)]
+        verify.mc_expectation(x, got, samples, seed=4)
+        sequential_chunk_values(x, expected, samples, seed=4)
+        for g, e in zip(got, expected):
+            assert np.array_equal(float_bits(np.concatenate(g.rows)), float_bits(np.concatenate(e.rows)))
 
 
 class TestCheckInequality:
