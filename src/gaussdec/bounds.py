@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import decouple, matcore
-from .errors import DegenerateBeta, NotAdmissibleClassical, NotApplicable
+from .errors import NotAdmissibleClassical, NotApplicable
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +154,7 @@ def report(x: decouple.GaussianVector, p: float, beta: float = 1.0) -> BoundsRep
         ostrowski = None
     try:
         corner: float | None = cornerstone_bound(x, p, decouple.beta_bar(x, beta))
-    except (DegenerateBeta, NotAdmissibleClassical):
+    except NotAdmissibleClassical:
         corner = None
     return BoundsReport(
         strictly_dominant=ostrowski is not None,

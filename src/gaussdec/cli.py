@@ -35,14 +35,11 @@ from . import bounds as bounds_mod
 from . import covgen, decouple, matcore
 from . import verify as verify_mod
 from .errors import (
-    DegenerateBeta,
     InvalidParameter,
     NonConvergence,
-    NonPositiveVariance,
     NotAdmissibleClassical,
     NotInRegion,
     NotPositiveDefinite,
-    NotSymmetric,
     as_int,
 )
 
@@ -129,8 +126,7 @@ def _load_vector(path: str) -> decouple.GaussianVector:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     x = _load_vector(args.input)
-    if not args.beta >= 1.0:  # rejected even when --optimal-beta leaves it unused
-        raise InvalidParameter(f"beta must be >= 1, got {args.beta}")
+    decouple.check_beta(args.beta)  # even when --optimal-beta leaves it unused
     rep = decouple.analyze(x, args.p, beta=None if args.optimal_beta else args.beta)
     _emit_json(rep.to_json_dict(), args.output)
     return EXIT_OK
@@ -371,21 +367,18 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     try:
         return args.func(args)
-    except (NotInRegion, NotAdmissibleClassical, DegenerateBeta) as exc:
+    except (NotInRegion, NotAdmissibleClassical) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except (NotPositiveDefinite, NonPositiveVariance, NonConvergence) as exc:
+    except (NotPositiveDefinite, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
-    except (InvalidParameter, NotSymmetric, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidParameter is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ArithmeticError as exc:
         print(f"error: numerically unusable: {exc!r}", file=sys.stderr)
         return EXIT_NOT_SPD
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
 
 
 def entrypoint() -> None:

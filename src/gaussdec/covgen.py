@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from . import matcore
-from .errors import InvalidParameter, NotPositiveDefinite, NotSymmetric, as_int
+from .errors import InvalidParameter, NotPositiveDefinite, as_int
 
 
 _RANDOM_SPD_EPS = 1e-8
@@ -28,7 +28,7 @@ def _require(cond: bool, message: str) -> None:
 def _check_spd(m: np.ndarray, what: str) -> np.ndarray:
     try:
         matcore.cholesky(m)
-    except (NotPositiveDefinite, NotSymmetric) as exc:
+    except NotPositiveDefinite as exc:
         raise InvalidParameter(f"{what} does not define an SPD matrix: {exc}") from exc
     return m
 

@@ -143,10 +143,15 @@ def variance_ratio(x: GaussianVector) -> float:
     return float(np.max(x.gamma) / np.min(x.gamma))
 
 
-def beta_bar(x: GaussianVector, beta: float) -> float:
-    """max(variance ratio, beta); must come out strictly above 1."""
+def check_beta(beta: float) -> None:
+    """A given beta must be at least 1, and so not NaN; raises InvalidParameter."""
     if not beta >= 1.0:
         raise InvalidParameter(f"beta must be >= 1, got {beta}")
+
+
+def beta_bar(x: GaussianVector, beta: float) -> float:
+    """max(variance ratio, beta); must come out strictly above 1."""
+    check_beta(beta)
     bb = max(variance_ratio(x), float(beta))
     if bb <= 1.0:
         raise DegenerateBeta(
@@ -409,7 +414,8 @@ def det_identity_residual(x: GaussianVector, p: float) -> float:
         raise InvalidParameter(f"p must be positive, got {p}")
     lhs = matcore.lu_det(shifted_matrix(x, p))
     lam = x._eigenvalues
-    rhs = float(p ** x.n * np.prod(x.gamma) * np.prod(1.0 - lam / p))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, as lu_det may give
+        rhs = float(p ** x.n * np.prod(x.gamma) * np.prod(1.0 - lam / p))
     denom = max(abs(lhs), abs(rhs))
     return 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
 
@@ -454,7 +460,7 @@ def analyze(x: GaussianVector, p: float, beta: float | None = 1.0) -> Decoupling
     try:
         bb = classical_beta_bar(x, p, beta)
         qo = q_old(x, p, bb)
-    except (DegenerateBeta, NotAdmissibleClassical):
+    except NotAdmissibleClassical:
         pass
 
     return DecouplingReport(

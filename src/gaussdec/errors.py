@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the integer check.
+
+Errors are grouped by outcome, and a handler catches the group's base class:
+InvalidParameter, exit 2 (NotSymmetric is one); NotPositiveDefinite, exit 3
+(NonPositiveVariance is one), as for NonConvergence; NotAdmissibleClassical,
+exit 5 (DegenerateBeta is one), as for NotInRegion.  NotApplicable never
+leaves ``bounds.report``, which records it as an absent bound.
+"""
 
 import numbers
 
@@ -11,7 +18,7 @@ class InvalidParameter(GaussdecError, ValueError):
     """An argument violates a documented precondition (shape, range, format)."""
 
 
-class NotSymmetric(GaussdecError):
+class NotSymmetric(InvalidParameter):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
@@ -19,7 +26,7 @@ class NotPositiveDefinite(GaussdecError):
     """A matrix failed the Cholesky positive-definiteness test."""
 
 
-class NonPositiveVariance(GaussdecError):
+class NonPositiveVariance(NotPositiveDefinite):
     """A covariance matrix has a diagonal entry that is not strictly positive."""
 
 
@@ -27,13 +34,13 @@ class NonConvergence(GaussdecError):
     """An iterative eigenvalue computation exceeded its iteration cap."""
 
 
-class DegenerateBeta(GaussdecError):
-    """The variance-ratio parameter collapsed to 1; the classical constant
-    requires it to be strictly larger."""
-
-
 class NotAdmissibleClassical(GaussdecError):
     """The exponent p is below the classical threshold beta_bar * p(X)."""
+
+
+class DegenerateBeta(NotAdmissibleClassical):
+    """The variance-ratio parameter collapsed to 1; the classical constant
+    requires it to be strictly larger."""
 
 
 class NotInRegion(GaussdecError):

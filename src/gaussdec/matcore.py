@@ -118,13 +118,11 @@ def _householder_tridiag(
     for k in range(n - 2):
         x = a[k + 1 :, k]
         norm = math.sqrt(float(np.dot(x, x)))
-        if norm == 0.0:
-            continue
         alpha = -math.copysign(norm, x[0])
         v = x.copy()
         v[0] -= alpha
         vsq = float(np.dot(v, v))
-        if vsq == 0.0:
+        if vsq == 0.0:  # a zero column: nothing to annihilate
             continue
         beta = 2.0 / vsq
         a[k + 1 :, :] -= _scaled_outer(v, v @ a[k + 1 :, :], beta)
@@ -168,7 +166,6 @@ def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
             s = 1.0
             c = 1.0
             p = 0.0
-            underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
@@ -177,7 +174,6 @@ def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
                 if r == 0.0:
                     d[i + 1] -= p
                     e[m] = 0.0
-                    underflow = True
                     break
                 s = f / r
                 c = g / r
@@ -188,11 +184,10 @@ def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
                 g = c * r - b
                 if zt is not None:
                     zt[i], zt[i + 1] = c * zt[i] - s * zt[i + 1], s * zt[i] + c * zt[i + 1]
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
 
 def sym_eigen(a) -> Spectrum:
@@ -296,8 +291,7 @@ def cholesky(a) -> np.ndarray:
             )
         ljj = math.sqrt(pivot)
         low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
+        low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
     return low
 
 
@@ -317,7 +311,6 @@ def lu_det(a) -> float:
             m[[k, piv], :] = m[[piv, k], :]
             det = -det
         det *= float(m[k, k])
-        if k + 1 < n:
-            factors = m[k + 1 :, k] / m[k, k]
-            m[k + 1 :, k + 1 :] -= factors[:, None] * m[k, k + 1 :]
+        factors = m[k + 1 :, k] / m[k, k]
+        m[k + 1 :, k + 1 :] -= factors[:, None] * m[k, k + 1 :]
     return float(det)

@@ -336,32 +336,27 @@ def _chunk_sums(
     The chunk allocates its buffers once and reuses them for every block of
     MC_BLOCK rows: the normals are drawn into z by consecutive
     standard_normal calls, which consume the stream exactly as one (m, n)
-    call does, and one matmul lands x = L z^T as n contiguous rows, so every
-    f_i reads a row and writes into one work row.  The last, shorter block
-    forms its own x as the transpose of z L^T: there OpenBLAS's L z^T can
-    differ in the last bit (at row counts above 192 that are not multiples
-    of 8), while the rows of z L^T keep the bits of the whole-chunk product.
-    The products keep the order ((1 * f_1) * f_2) * ... of the whole-chunk
-    evaluation.
+    call does, and one matmul of one shape lands x = L z^T as n contiguous
+    rows with the bits of the whole-chunk product; a last, shorter block's
+    unused columns are computed and ignored.  Every f_i reads a row and
+    writes into one work row, in the order ((1 * f_1) * f_2) * ... of the
+    whole-chunk evaluation.
     """
     rng = np.random.default_rng(seed)
     n = low.shape[0]
     vals = np.empty(m)
-    z = np.empty((min(m, MC_BLOCK), n))
+    z = np.zeros((MC_BLOCK, n))  # unused rows of a short chunk: zeros, never NaN or inf
     x = np.empty((n, MC_BLOCK))
-    work = np.empty(min(m, MC_BLOCK))
+    work = np.empty(MC_BLOCK)
     for start in range(0, m, MC_BLOCK):
         if stop.is_set():
             return math.nan, math.nan
         rows = min(MC_BLOCK, m - start)
-        zb = rng.standard_normal(out=z[:rows])
-        if rows == MC_BLOCK:
-            xb = np.matmul(low, zb.T, out=x)
-        else:
-            xb = np.ascontiguousarray((zb @ low.T).T)
+        rng.standard_normal(out=z[:rows])
+        np.matmul(low, z.T, out=x)
         prod = vals[start : start + rows]
         prod.fill(1.0)
-        for f, row in zip(fs, xb):
+        for f, row in zip(fs, x[:, :rows]):
             prod *= f.evaluate(row, work[:rows])
     total = float(np.sum(vals))
     vals -= total / m
@@ -408,9 +403,12 @@ def check_inequality(
     classical constant with beta_bar = max(variance ratio, beta), or the
     optimal beta_bar when ``beta`` is None (NotAdmissibleClassical propagates
     when p is below the threshold).  Raises InvalidParameter unless p passes
-    ``decouple.check_exponent``.
+    ``decouple.check_exponent`` and a given ``beta`` passes
+    ``decouple.check_beta``, whichever the constant.
     """
     decouple.check_exponent(p)
+    if beta is not None:
+        decouple.check_beta(beta)
     if len(fs) != x.n:
         raise InvalidParameter(f"need {x.n} test functions, got {len(fs)}")
     if constant == "new":

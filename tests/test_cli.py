@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdec import cli, covgen, decouple, matcore
+from gaussdec import cli, covgen, decouple, errors, matcore
 from gaussdec import verify as verify_lib
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +141,29 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True and doc["samples"] == 20000
 
+    def test_verify_constant_product_has_zero_stderr(self, equi_file, tmp_path):
+        # prod f_i(X_i) = 1 on every draw: no spread, so the margin is infinite
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "indicator", "a": "-inf", "b": "inf"}] * 2))
+        out = tmp_path / "v.json"
+        assert run(["verify", "--input", equi_file, "--p", "3", "--functions", str(fns),
+                    "--samples", "20000", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs_estimate"] == 1.0 and doc["lhs_stderr"] == 0.0
+        assert doc["margin_sigmas"] == "inf" and doc["passed"] is True
+
+    @pytest.mark.parametrize("constant", ["new", "old"])
+    @pytest.mark.parametrize("beta", ["0.5", "nan"])
+    def test_verify_invalid_beta_is_exit_2(self, equi_file, functions_file, tmp_path,
+                                           capsys, constant, beta):
+        # rejected for either constant, as analyze --optimal-beta rejects it
+        out = tmp_path / "v.json"
+        assert run(["verify", "--input", equi_file, "--p", "3", "--functions",
+                    functions_file, "--samples", "20000", "--constant", constant,
+                    "--beta", beta, "--output", str(out)]) == 2
+        assert "beta must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_not_in_region_is_exit_5(self, equi_file, functions_file):
         assert run(["verify", "--input", equi_file, "--p", "1.2",
                     "--functions", functions_file, "--samples", "20000"]) == 5
@@ -211,12 +234,26 @@ class TestExitCodes:
         assert run(["analyze", "--input", str(path), "--p", "1e3"]) == 3
         assert "numerically unusable" in capsys.readouterr().err
 
-    def test_sweep_degenerate_grid_is_exit_2(self, tmp_path):
+    def test_sweep_degenerate_grid_is_exit_2(self, tmp_path, capsys):
+        family = {"kind": "equicorrelated", "n": 2, "rho": "0.1:0.9:0.2"}
+        p_grid = "1.5:3.0:0.5"
+        specs = [
+            {"family": {**family, "rho": "0.9:0.1:0.2"}, "p_grid": p_grid},
+            {"p_grid": p_grid},
+            {"family": family},
+            {"family": "equicorrelated", "p_grid": p_grid},
+            {"family": {**family, "rho": 0.5}, "p_grid": p_grid},
+            {"family": {**family, "n": "2:4:1"}, "p_grid": p_grid},
+            {"family": family, "p_grid": "1.5:3.0"},
+            {"family": family, "p_grid": "a:b:c"},
+        ]
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(
-            {"family": {"kind": "equicorrelated", "n": 2, "rho": "0.9:0.1:0.2"},
-             "p_grid": "1.5:3.0:0.5"}))
-        assert run(["sweep", "--spec", str(spec)]) == 2
+        out = tmp_path / "sweep.csv"
+        for doc in specs:
+            spec.write_text(json.dumps(doc))
+            assert run(["sweep", "--spec", str(spec), "--output", str(out)]) == 2, doc
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
 
     @pytest.mark.parametrize("beta", ["abc", [1], {}])
     def test_sweep_non_numeric_beta_is_exit_2(self, tmp_path, capsys, beta):
@@ -228,9 +265,44 @@ class TestExitCodes:
         assert run(["sweep", "--spec", str(spec)]) == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_unwritable_output_is_exit_2(self, equi_file, tmp_path, capsys):
+        assert run(["region", "--input", equi_file, "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_command_is_exit_2(self, capsys):
         assert run([]) == 2
         assert capsys.readouterr().err.startswith("usage: gaussdec")
+
+    # README's exit code of every error class that can reach the command line;
+    # bounds.report turns NotApplicable into an absent field
+    EXIT_BY_ERROR = {
+        errors.InvalidParameter: 2,
+        errors.NotSymmetric: 2,
+        errors.NotPositiveDefinite: 3,
+        errors.NonPositiveVariance: 3,
+        errors.NonConvergence: 3,
+        errors.NotAdmissibleClassical: 5,
+        errors.DegenerateBeta: 5,
+        errors.NotInRegion: 5,
+    }
+
+    def test_exit_table_names_every_error_class(self):
+        found = set()
+        todo = [errors.GaussdecError]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            found.update(subclasses)
+            todo.extend(subclasses)
+        assert found == set(self.EXIT_BY_ERROR) | {errors.NotApplicable}
+
+    @pytest.mark.parametrize("error", list(EXIT_BY_ERROR), ids=lambda e: e.__name__)
+    def test_error_class_exit_code(self, equi_file, monkeypatch, capsys, error):
+        def raise_it(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr(decouple, "analyze", raise_it)
+        assert run(["analyze", "--input", equi_file, "--p", "3"]) == self.EXIT_BY_ERROR[error]
+        assert capsys.readouterr() == ("", "error: forced\n")
 
 
 @pytest.fixture(scope="module")
@@ -244,11 +316,18 @@ def equi164_file(tmp_path_factory):
 
 
 class TestNonFiniteResults:
-    def test_overflow_is_exit_3_without_a_warning(self, equi164_file, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["analyze", "--input", equi164_file, "--p", "1e3"]) == 3
-        assert "numerically unusable" in capsys.readouterr().err
+    def test_overflow_is_exit_3_without_a_warning(self, equi164_file, tmp_path, capsys):
+        # the identity residual's closed form leaves the float range: p ** n
+        # at n = 164, and prod(gamma) at variances of 1.2e100
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(cli.matrix_to_document((np.eye(6) + 0.2) * 1e100)))
+        for path, p in ((equi164_file, "1e3"), (str(big), "3")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["analyze", "--input", path, "--p", p]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "numerically unusable" in captured.err
 
     @pytest.mark.parametrize("p", ["200", "1e3"])
     def test_infinite_determinant_is_exit_3_with_empty_stdout(self, equi164_file, capsys, p):

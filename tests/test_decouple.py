@@ -108,6 +108,11 @@ class TestBetaBar:
         with pytest.raises(InvalidParameter):
             decouple.beta_bar(decouple.from_covariance(np.eye(2)), 0.5)
 
+    @pytest.mark.parametrize("beta", [0.5, math.nextafter(1.0, 0.0), -math.inf, math.nan])
+    def test_check_beta_rejects(self, beta):
+        with pytest.raises(InvalidParameter, match="beta must be >= 1"):
+            decouple.check_beta(beta)
+
 
 class TestOptimalBetaBar:
     def test_identity(self):

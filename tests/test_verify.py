@@ -602,6 +602,15 @@ class TestCheckInequality:
         )
         assert res.passed
 
+    @pytest.mark.parametrize("constant", ["new", "old"])
+    @pytest.mark.parametrize("beta", [0.5, math.nan])
+    def test_invalid_beta_rejected_for_either_constant(self, constant, beta):
+        with pytest.raises(InvalidParameter, match="beta must be >= 1"):
+            verify.check_inequality(
+                EQUI, [HALF_LINE, HALF_LINE], 3.0, samples=20_000, seed=0,
+                constant=constant, beta=beta,
+            )
+
     def test_classical_route_below_threshold(self):
         with pytest.raises(NotAdmissibleClassical):
             verify.check_inequality(
