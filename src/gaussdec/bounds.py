@@ -16,6 +16,7 @@ package to the shifted matrix p*diag(gamma) - C:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,10 +77,11 @@ def ostrowski_lower_bound(a) -> float:
 def cornerstone_bound(x: decouple.GaussianVector, p: float, beta_bar_value: float) -> float:
     """p^n (1 - 1/beta_bar)^n prod(sigma_i^2), a lower bound for
     det(p*diag(gamma) - C) under the classical hypothesis, which
-    ``decouple.check_classical`` enforces."""
+    ``decouple.check_classical`` enforces; summed as logs, so it overflows
+    only when the bound does."""
     decouple.check_classical(x, p, beta_bar_value)
-    n = x.n
-    return float(p**n * (1.0 - 1.0 / beta_bar_value) ** n * np.prod(x.gamma))
+    log_factor = math.log(p) + math.log1p(-1.0 / beta_bar_value)
+    return math.exp(x.n * log_factor + float(np.sum(np.log(x.gamma))))
 
 
 class TausskyVerdict(enum.Enum):

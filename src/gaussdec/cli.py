@@ -35,6 +35,7 @@ from . import bounds as bounds_mod
 from . import covgen, decouple, matcore
 from . import verify as verify_mod
 from .errors import (
+    DegenerateBeta,
     InvalidParameter,
     NonConvergence,
     NotAdmissibleClassical,
@@ -229,7 +230,10 @@ def _sweep_rows(spec: dict):
         x = decouple.from_covariance(covgen.generate(covgen.family_from_json(doc)))
         reports = [decouple.analyze(x, p, beta) for p in p_values]
         max_inv_xi = decouple.region_of(x).breakpoints[0]
-        threshold = decouple.least_beta_bar(x, beta) * reports[0].p_of_X
+        try:
+            threshold = decouple.least_beta_bar(x, beta) * reports[0].p_of_X
+        except DegenerateBeta:  # a fixed beta_bar of 1: no exponent qualifies
+            threshold = None
         for rep in reports:
             yield {
                 "param": param,

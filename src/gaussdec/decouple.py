@@ -23,10 +23,11 @@ eigendecompositions is built on request by ``simultaneous_diagonalization``;
 the tests check its defining relations, and ``correlation_eigs_oracle``
 checks lambda with an independent solver.
 
-The admissible set for ``q_new`` excludes the breakpoints and keeps the
-exponents p for which the count of breakpoints above p is even; this is
-precisely the sign condition making det(p*diag(gamma) - C) positive, by the
-exact identity
+The admissible set for ``q_new`` keeps the exponents p farther than a
+relative margin from every breakpoint and with an even count of breakpoints
+above p (breakpoints closer than the margin count as one, with multiplicity);
+this is precisely the sign condition making det(p*diag(gamma) - C) positive,
+by the exact identity
 
     det(p*diag(gamma) - C) = p^n * prod(gamma_i) * prod(1 - lambda_j/p),
 
@@ -57,9 +58,6 @@ EPS_BETA = 1e-6
 # p counts as inside the region only if farther than this (times max(1, p))
 # from every breakpoint; the constant diverges at breakpoints.
 REGION_MARGIN_COEFF = 1e-9
-# Breakpoints closer than this (relative) bound the intervals as one excluded
-# point with multiplicity; the membership margin above always covers the gap.
-BREAKPOINT_COLLAPSE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,16 +161,13 @@ def beta_bar(x: GaussianVector, beta: float) -> float:
 def least_beta_bar(x: GaussianVector, beta: float | None = None) -> float:
     """The least beta_bar the classical route accepts.
 
-    For a fixed ``beta`` that is beta_bar(x, beta).  For ``None`` (the
-    optimal route) and for a degenerate beta it is the floor
-    max(variance ratio, 1 + EPS_BETA) below which ``optimal_beta_bar``
-    finds no valid choice.  Times p(X), it is the classical threshold.
-    """
+    For a fixed ``beta`` that is beta_bar(x, beta), which raises
+    DegenerateBeta when no exponent qualifies.  For ``None`` (the optimal
+    route) it is the floor max(variance ratio, 1 + EPS_BETA) below which
+    ``optimal_beta_bar`` finds no valid choice.  Times p(X), it is the
+    classical threshold."""
     if beta is not None:
-        try:
-            return beta_bar(x, beta)
-        except DegenerateBeta:
-            pass
+        return beta_bar(x, beta)
     return max(variance_ratio(x), 1.0 + EPS_BETA)
 
 
@@ -307,7 +302,9 @@ class AdmissibleRegion:
     ``intervals`` partition (1, inf) minus the breakpoints, in ascending
     order; an interval is admissible iff the number of breakpoints strictly
     above it is even (counting multiplicity), so the topmost interval is
-    always admissible.
+    always admissible.  A breakpoint within margin(prev) of the next larger
+    one, prev, ends no interval: it is one more copy of its group's top.
+    ``contains`` refuses every p between the two: half their gap < margin(p).
     """
 
     breakpoints: tuple[float, ...]
@@ -349,27 +346,23 @@ def admissible_region(breakpoints) -> AdmissibleRegion:
     arr = np.asarray(breakpoints, dtype=float).ravel()
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidParameter("breakpoints must be a nonempty list of positive finite reals")
-    bps = np.sort(arr)[::-1]
-
-    groups: list[list] = []
-    for b in bps:
-        if groups and groups[-1][0] - b <= BREAKPOINT_COLLAPSE_TOL * max(1.0, groups[-1][0]):
-            groups[-1][1] += 1
-        else:
-            groups.append([float(b), 1])
-    above1 = [(val, mult) for val, mult in groups if val > 1.0]
+    bps = np.sort(arr)[::-1].tolist()
 
     descending: list[Interval] = []
-    cum = 0
-    upper = math.inf
-    for val, mult in above1:
-        descending.append(Interval(lo=val, hi=upper, admissible=(cum % 2 == 0)))
-        cum += mult
-        upper = val
-    descending.append(Interval(lo=1.0, hi=upper, admissible=(cum % 2 == 0)))
+    upper = prev = math.inf
+    above = 0  # breakpoints above the current interval, with multiplicity
+    for b in bps:
+        if b <= 1.0:
+            break
+        if not descending or prev - b > REGION_MARGIN_COEFF * prev:  # prev > 1: margin(prev)
+            descending.append(Interval(lo=b, hi=upper, admissible=above % 2 == 0))
+            upper = b
+        above += 1
+        prev = b
+    descending.append(Interval(lo=1.0, hi=upper, admissible=above % 2 == 0))
 
     return AdmissibleRegion(
-        breakpoints=tuple(float(b) for b in bps),
+        breakpoints=tuple(bps),
         intervals=tuple(reversed(descending)),
     )
 

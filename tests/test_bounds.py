@@ -249,6 +249,14 @@ class TestReport:
         assert rep.ostrowski_bound is None
         assert rep.cornerstone_bound is None
 
+    def test_cornerstone_past_the_float_range_of_p_to_the_n(self):
+        # p^n = 1e330 leaves the float range, the bound (0.01 * 1000 / 2)^110
+        # = 5^110 does not
+        c = 0.01 * covgen.generate(covgen.Equicorrelated(110, 0.5))
+        rep = bounds.report(decouple.from_covariance(c), 1000.0, beta=2.0)
+        assert rep.cornerstone_bound == pytest.approx(5.0**110, rel=1e-12)
+        assert rep.cornerstone_bound <= rep.ostrowski_bound <= abs(rep.actual_det)
+
     def test_degenerate_beta_gives_absent_cornerstone(self):
         x = decouple.from_covariance(np.eye(2))
         rep = bounds.report(x, 3.0, beta=1.0)

@@ -535,6 +535,36 @@ class TestSweep:
             assert cells["classical_ok"] == ("false" if rep.q_old is None else "true")
             assert float(cells["det_identity_residual"]) == rep.identity_residual
 
+    def sweep_cells(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--spec", str(path), "--output", str(out)]) == 0
+        return [dict(zip(cli.SWEEP_HEADER, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+
+    def test_degenerate_fixed_beta_prints_no_threshold(self, tmp_path):
+        # unit variances and beta 1 give beta_bar 1, which no exponent meets
+        rows = self.sweep_cells(tmp_path, dict(self.SPEC, beta=1))
+        assert len(rows) == 3 * 2
+        for cells in rows:
+            assert cells["beta_bar_pX"] == ""
+            assert cells["classical_ok"] == "false"
+
+    @pytest.mark.parametrize("beta", [2.0, None])
+    def test_classical_ok_obeys_the_printed_threshold(self, tmp_path, beta):
+        spec = {"family": {"kind": "randomspd", "n": "3:5:1", "seed": 2, "cond": 30},
+                "p_grid": "1.1:30.1:0.5"}
+        if beta is not None:
+            spec["beta"] = beta
+        verdicts = set()
+        for cells in self.sweep_cells(tmp_path, spec):
+            p, threshold = float(cells["p"]), float(cells["beta_bar_pX"])
+            if abs(p - threshold) > 1e-12 * threshold:
+                assert (cells["classical_ok"] == "true") == (p >= threshold), cells
+                verdicts.add(p >= threshold)
+        assert verdicts == {True, False}
+
     def test_optimal_route_below_p_of_x_ends(self, tmp_path, deadline):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({

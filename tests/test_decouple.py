@@ -162,9 +162,10 @@ class TestLeastBetaBar:
 
     def test_floor_for_optimal_and_degenerate_beta(self):
         x = decouple.from_covariance(EQUI)
-        floor = 1.0 + decouple.EPS_BETA
-        assert decouple.least_beta_bar(x) == floor
-        assert decouple.least_beta_bar(x, 1.0) == floor
+        assert decouple.least_beta_bar(x) == 1.0 + decouple.EPS_BETA
+        # a fixed beta_bar of 1 admits no exponent, so it has no threshold
+        with pytest.raises(DegenerateBeta):
+            decouple.least_beta_bar(x, 1.0)
 
     def test_variance_ratio_dominates(self):
         x = decouple.from_covariance(np.diag([1.0, 4.0]))
@@ -321,10 +322,18 @@ class TestAdmissibleRegion:
         assert math.isinf(region.intervals[-1].hi)
 
     def test_multiplicity_parity(self):
-        # double breakpoint at 1.4: interval below it keeps even parity
-        region = decouple.admissible_region([1.4, 1.4, 0.2])
-        tags = [(round(iv.lo, 12), iv.admissible) for iv in region.intervals]
-        assert tags == [(1.0, True), (1.4, True)]
+        # a double breakpoint at 1.4 keeps the parity below it even, and so
+        # does a pair 5e-10 apart (relative), inside the 1e-9 membership
+        # margin; a pair 2e-9 apart stays two breakpoints
+        apart = 1.4 * (1.0 - 2e-9)
+        for second, tags in [
+            (1.4, [(1.0, True), (1.4, True)]),
+            (1.4 * (1.0 - 5e-10), [(1.0, True), (1.4, True)]),
+            (apart, [(1.0, True), (apart, False), (1.4, True)]),
+        ]:
+            region = decouple.admissible_region([1.4, second, 0.2])
+            assert [(iv.lo, iv.admissible) for iv in region.intervals] == tags
+            assert len(region.breakpoints) == 3
 
     def test_one_not_a_breakpoint(self):
         region = decouple.admissible_region([1.0, 1.0])

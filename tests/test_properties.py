@@ -4,7 +4,9 @@ The breakpoints are the eigenvalues of the correlation matrix
 K = diag(1/sigma) C diag(1/sigma), so relabelling the coordinates (P C P^T)
 or rescaling them (D C D) leaves the region and the region constant
 unchanged, region membership is the sign of det(p*diag(gamma) - C), and the
-breakpoints above p count the negative eigenvalues of that matrix.
+breakpoints above p count the negative eigenvalues of that matrix.  Breakpoints
+closer than the membership margin end one interval, and membership still
+follows the parity rule around them.
 Marginal p-norms are nondecreasing in p (Lyapunov) and scale with sigma as
 the test functions do.  The command line answers every finite square matrix
 with a documented exit code.  Examples are derandomized so the suite is
@@ -139,6 +141,37 @@ def test_contains_is_the_parity_rule(c, p):
         for k in (0.0, 0.5, 2.0)
     ]
     for q in (p, *probes(region), *near):
+        assert region.contains(q) == parity_rule(region, q)
+
+
+@st.composite
+def near_duplicate_breakpoints(draw):
+    """Positive multisets in which each value may be followed by a chain of
+    copies, each within a relative 1e-16 to 1e-7 of the one before; values
+    at 1 put chains across the lower end of the region."""
+    out = []
+    values = st.one_of(st.floats(0.05, 20.0), st.just(1.0))
+    for b in draw(st.lists(values, min_size=1, max_size=6)):
+        out.append(b)
+        for _ in range(draw(st.integers(0, 3))):
+            b *= 1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-16.0, -7.0))
+            out.append(b)
+    return out
+
+
+@PROPERTY
+@given(bps=near_duplicate_breakpoints())
+def test_near_duplicate_breakpoints_keep_the_parity_rule(bps):
+    region = decouple.admissible_region(bps)
+    raw = set(region.breakpoints)
+    lows = [iv.lo for iv in region.intervals[1:]]
+    assert set(lows) <= raw  # every end is a breakpoint, not a merged value
+    for iv in region.intervals[1:-1]:
+        assert iv.hi - iv.lo > region.margin(iv.hi)
+    ordered = sorted(raw)
+    near = [b + k * region.margin(b) for b in ordered for k in (-2.0, 2.0)]
+    middles = [0.5 * (lo + hi) for lo, hi in zip(ordered, ordered[1:])]
+    for q in (*near, *middles):
         assert region.contains(q) == parity_rule(region, q)
 
 
