@@ -10,10 +10,12 @@ Pieces:
   in closed form: absolute normal moments through the Gamma function for
   PolyGauss, and normal tail masses through erfc for indicators;
 * seeded, chunked Monte Carlo estimation of E prod f_i(X_i) by sampling
-  x = L z with the Cholesky factor L of C: the chunks run concurrently on a
-  thread pool sized by the CPU affinity mask, each one in blocks of
-  MC_BLOCK rows drawn, multiplied and evaluated in buffers the chunk
-  allocates once, and the estimate is bit-identical however they are run;
+  x = L z with the Cholesky factor L of C and z from numpy's SFC64 bit
+  generator: the chunks run concurrently on a thread pool sized by the CPU
+  affinity mask, each one in blocks of MC_BLOCK rows drawn, multiplied and
+  evaluated in buffers the chunk allocates once, and the estimate is
+  bit-identical however they are run.  Versions of gaussdec that drew z
+  from PCG64 (numpy's default_rng) gave other estimates for the same seed;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -256,10 +258,16 @@ def mc_expectation(
 
     Draws x = L z with L the Cholesky factor of C and z standard normal.
     Reproducibility contract: the sample space is split into chunks of
-    MC_CHUNK draws (last chunk smaller); chunk i uses the i-th child of
-    numpy's SeedSequence(seed), and each chunk's sum and centred sum of
-    squares are merged in chunk order, so the estimate is bit-identical for a
-    given (seed, samples) no matter how the chunks are executed.
+    MC_CHUNK draws (last chunk smaller); chunk i draws its normals from
+    numpy's SFC64 bit generator seeded with the i-th child of
+    SeedSequence(seed), and each chunk's sum and centred sum of squares are
+    merged in chunk order, so the estimate is bit-identical for a given
+    (seed, samples) no matter how the chunks are executed.  The generator
+    is part of the contract: versions that drew from PCG64 (numpy's
+    default_rng) gave other estimates for the same (seed, samples).  The
+    sums of squares are held at a power-of-two scale (see _chunk_sums), so
+    the standard error neither underflows to 0 nor overflows while the
+    products are finite.
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
@@ -301,17 +309,24 @@ def mc_expectation(
         stop.set()
         pool.shutdown(cancel_futures=True)
     total = 0.0
-    for chunk_sum, _ in sums:
+    for chunk_sum, _, _ in sums:
         total += chunk_sum
     mean = total / samples
     # Chan, Golub and LeVeque's merge of the chunks' centred sums of squares;
     # unlike one-pass sums of v and v*v it does not cancel when v is nearly
-    # constant.
+    # constant.  It runs at the scale 2^scale of the largest chunk deviation
+    # or chunk-mean gap, so squares neither underflow nor overflow; a zero
+    # sum or gap sets no scale.
+    gaps = [chunk_sum / m - mean for m, (chunk_sum, _, _) in zip(sizes, sums)]
+    scale = max(
+        [exp for _, m2, exp in sums if m2] + [math.frexp(gap)[1] for gap in gaps if gap],
+        default=0,
+    )
     m2 = 0.0
-    for m, (chunk_sum, chunk_m2) in zip(sizes, sums):
-        m2 += chunk_m2 + m * (chunk_sum / m - mean) ** 2
+    for m, gap, (_, chunk_m2, exp) in zip(sizes, gaps, sums):
+        m2 += math.ldexp(chunk_m2, 2 * (exp - scale)) + m * math.ldexp(gap, -scale) ** 2
     var = m2 / (samples - 1)
-    return mean, math.sqrt(var / samples)
+    return mean, math.ldexp(math.sqrt(var / samples), scale)
 
 
 def _cpu_count() -> int:
@@ -328,21 +343,27 @@ def _chunk_sums(
     m: int,
     seed: np.random.SeedSequence,
     stop: threading.Event,
-) -> tuple[float, float]:
-    """sum(v) and the centred sum of squares sum((v - mean(v))^2) over one
-    chunk of m draws, v = prod_i f_i(X_i); NaNs, abandoning the chunk, once
-    ``stop`` is set by a failed call.
+) -> tuple[float, float, int]:
+    """sum(v), the scaled centred sum of squares sum((v - mean(v))^2) / 4^exp
+    and exp over one chunk of m draws, v = prod_i f_i(X_i); NaNs, abandoning
+    the chunk, once ``stop`` is set by a failed call.  2^exp is the binary
+    exponent of max |v - mean(v)| (exp = 0 when v is constant): scaling by a
+    power of two is exact, so the scaled sum has the bits of the unscaled
+    one over 4^exp wherever that one is a normal float, and it lies in
+    [1/4, m) for a nonconstant v, even where that one would underflow to 0
+    or overflow.
 
-    The chunk allocates its buffers once and reuses them for every block of
-    MC_BLOCK rows: the normals are drawn into z by consecutive
-    standard_normal calls, which consume the stream exactly as one (m, n)
-    call does, and one matmul of one shape lands x = L z^T as n contiguous
-    rows with the bits of the whole-chunk product; a last, shorter block's
-    unused columns are computed and ignored.  Every f_i reads a row and
-    writes into one work row, in the order ((1 * f_1) * f_2) * ... of the
-    whole-chunk evaluation.
+    The normals come from numpy's SFC64 bit generator seeded with the
+    chunk's SeedSequence child.  The chunk allocates its buffers once and
+    reuses them for every block of MC_BLOCK rows: the normals are drawn into
+    z by consecutive standard_normal calls, which consume the stream exactly
+    as one (m, n) call does, and one matmul of one shape lands x = L z^T as
+    n contiguous rows with the bits of the whole-chunk product; a last,
+    shorter block's unused columns are computed and ignored.  Every f_i
+    reads a row and writes into one work row, in the order
+    ((1 * f_1) * f_2) * ... of the whole-chunk evaluation.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     n = low.shape[0]
     vals = np.empty(m)
     z = np.zeros((MC_BLOCK, n))  # unused rows of a short chunk: zeros, never NaN or inf
@@ -350,7 +371,7 @@ def _chunk_sums(
     work = np.empty(MC_BLOCK)
     for start in range(0, m, MC_BLOCK):
         if stop.is_set():
-            return math.nan, math.nan
+            return math.nan, math.nan, 0
         rows = min(MC_BLOCK, m - start)
         rng.standard_normal(out=z[:rows])
         np.matmul(low, z.T, out=x)
@@ -360,8 +381,11 @@ def _chunk_sums(
             prod *= f.evaluate(row, work[:rows])
     total = float(np.sum(vals))
     vals -= total / m
+    np.abs(vals, out=vals)
+    exp = math.frexp(float(np.max(vals)))[1]
+    np.ldexp(vals, -exp, out=vals)
     vals *= vals
-    return total, float(np.sum(vals))
+    return total, float(np.sum(vals)), exp
 
 
 @dataclass(frozen=True)

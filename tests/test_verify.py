@@ -38,7 +38,7 @@ def sequential_chunk_values(x, fs, samples, seed):
     for child in children:
         m = min(verify.MC_CHUNK, left)
         left -= m
-        rng = np.random.default_rng(child)
+        rng = np.random.Generator(np.random.SFC64(child))
         z = rng.standard_normal((m, x.n))
         xs = z @ low.T
         vals = np.ones(m)
@@ -425,6 +425,27 @@ class TestMCExpectation:
         two_pass = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
         assert se == pytest.approx(two_pass, rel=1e-6)
 
+    @pytest.mark.parametrize("cov,fs,p,scale", [
+        # every product is below about 1e-170, so its square underflows
+        ([[1.0, 0.99], [0.99, 1.0]],
+         [verify.Indicator(2.0, math.inf), verify.PolyGauss(0, 0.006)], 300.0, 600),
+        # ten of sixteen chunks are all zero, and must not set the scale
+        ([[1.0, 0.99], [0.99, 1.0]],
+         [verify.Indicator(4.5, math.inf), verify.PolyGauss(0, 0.044)], 300.0, 600),
+        # products near 1e215, whose squares overflow
+        ([[1e6]], [verify.PolyGauss(60, 1e9)], 2.0, -700),
+    ])
+    def test_stderr_where_squares_leave_the_float_range(self, cov, fs, p, scale):
+        # the two-pass standard error of the same draws, taken at a scale
+        # 2^scale where the squares are normal floats
+        x = decouple.from_covariance(cov)
+        res = verify.check_inequality(x, fs, p, samples=1_000_000, seed=0)
+        vals = np.ldexp(np.concatenate(sequential_chunk_values(x, fs, 1_000_000, seed=0)), scale)
+        two_pass = math.ldexp(float(np.std(vals, ddof=1)) / math.sqrt(vals.size), -scale)
+        assert two_pass > 0.0 and math.isfinite(two_pass)
+        assert res.lhs_stderr == pytest.approx(two_pass, rel=1e-9, abs=0.0)
+        assert math.isfinite(res.margin_sigmas)
+
     def test_sample_floor(self):
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 100, seed=0)
@@ -537,11 +558,16 @@ class TestSamplerMatchesSequentialLoop:
         + [(9, 1_000_000, 0), (26, 1_000_000, 1), (2, 1_000_000, 2)],
     )
     def test_bits(self, monkeypatch, n, samples, case):
+        # MC_BLOCK is outside the contract too: a block that divides
+        # MC_CHUNK (4096) or not (1000, and the prime 10007) gives the bits
+        # of whole chunks
         x, fs = oracle_vector(n, case)
         expected = sequential_mc_expectation(x, fs, samples, seed=case)
-        for workers in (1, 3):
-            monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
-            assert verify.mc_expectation(x, fs, samples, seed=case) == expected
+        for block in (1000, 4096, 10007):
+            monkeypatch.setattr(verify, "MC_BLOCK", block)
+            for workers in (1, 3):
+                monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+                assert verify.mc_expectation(x, fs, samples, seed=case) == expected
 
     @pytest.mark.parametrize("samples", [
         # a last block of 1815 rows, and a second chunk of one such block
