@@ -109,8 +109,8 @@ class RandomSPD:
         _require(lmax > lmin, "randomspd spectrum is degenerate; try another seed")
         # Affine spectral shift: cond((A + c I)) = target exactly.
         shift = (lmax - self.cond * lmin) / (self.cond - 1.0)
-        m = base + shift * np.eye(self.n)
-        return _check_spd((m + m.T) / 2.0, "randomspd")
+        m = base + shift * np.eye(self.n)  # exactly symmetric, as base is
+        return _check_spd(m, "randomspd")
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,7 @@ def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
     dvec = 1.0 / np.sqrt(mu)
     w = u * dvec[np.newaxis, :]  # U D without forming D
     h = w.T @ (x.gamma[:, np.newaxis] * w)
-    h = (h + h.T) / 2.0
-    spec_h = matcore.sym_eigen(h)
+    spec_h = matcore.sym_eigen(h)  # symmetrizes h
     v = spec_h.eigenvectors
     r = w @ v
     num = np.einsum("ij,ij->j", r, x.gamma[:, np.newaxis] * r)

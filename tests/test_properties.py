@@ -7,6 +7,8 @@ unchanged, region membership is the sign of det(p*diag(gamma) - C), and the
 breakpoints above p count the negative eigenvalues of that matrix.  Breakpoints
 closer than the membership margin end one interval, and membership still
 follows the parity rule around them.
+The classical route's p(X) is never below the top breakpoint and equals it
+for equicorrelated covariances; above it both paper constants are at least 1.
 Marginal p-norms are nondecreasing in p (Lyapunov) and scale with sigma as
 the test functions do.  The sampler's mean of Gaussian bumps lies within
 four standard errors of its closed form.  The command line answers every
@@ -188,6 +190,43 @@ def test_q_new_finite_where_admissible(c, p):
     for q in admissible:
         value = decouple.q_new(x, q)
         assert math.isfinite(value) and value > 0.0
+
+
+@PROPERTY
+@given(c=covariances())
+def test_classical_route_never_reaches_below_the_top_breakpoint(c):
+    # p(X) = ||diag(1/gamma) C||_inf bounds the spectral radius of
+    # diag(1/gamma) C, which is similar to K, so p(X) >= lambda_max
+    x = decouple.from_covariance(c)
+    top = decouple.region_of(x).breakpoints[0]
+    assert decouple.decoupling_coefficient(x) >= top * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(2, 12), rho=st.floats(0.0, 0.99))
+def test_classical_route_meets_the_top_breakpoint_when_equicorrelated(n, rho):
+    # every row sum of K is its top eigenvalue 1 + (n - 1) rho
+    x = decouple.from_covariance(covgen.generate(covgen.Equicorrelated(n, rho)))
+    top = decouple.region_of(x).breakpoints[0]
+    assert math.isclose(decouple.decoupling_coefficient(x), top, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(
+    c=covariances(),
+    gap=st.floats(1e-6, 100.0),
+    bb=st.floats(1.0, 10.0, exclude_min=True),
+)
+def test_paper_constants_are_at_least_one(c, gap, bb):
+    # trace K = n, so sum(log lambda) <= 0 (AM-GM), and every other term of
+    # log q_new (above lambda_max) and of log q_old is nonnegative
+    x = decouple.from_covariance(c)
+    region = decouple.region_of(x)
+    p = region.breakpoints[0] * (1.0 + gap)  # lambda_max >= trace K / n = 1
+    assert decouple.q_new(x, p) >= 1.0 - 1e-12
+    # q_old raises unless check_classical passes
+    p_old = bb * decouple.decoupling_coefficient(x) * (1.0 + gap)
+    assert decouple.q_old(x, p_old, bb) >= 1.0 - 1e-12
 
 
 @st.composite
