@@ -7,9 +7,10 @@ reflections and Jacobi rotations, which stay orthonormal to machine precision
 regardless of conditioning.
 
 Two independent eigensolvers are provided on purpose.  ``sym_eigvals``
-(Householder tridiagonalization followed by implicitly shifted QL sweeps,
-with no basis accumulated) is the production path; ``jacobi_eigen`` (cyclic
-two-sided rotations) shares no code with it and is a values-only oracle, for
+(Householder tridiagonalization, one symmetric rank-2 update of the trailing
+block per reflection, then implicitly shifted QL sweeps, with no basis
+accumulated) is the production path; ``jacobi_eigen`` (cyclic two-sided
+rotations) shares no code with it and is a values-only oracle, for
 ``correlation_eigs_oracle`` and the test suite.  ``sym_eigen`` runs the same
 reduction and QL loop while accumulating the eigenvectors, an order of
 magnitude dearer in pure Python, and returns bit for bit the eigenvalues of
@@ -63,12 +64,12 @@ def max_abs(a) -> float:
 def symmetrize(a) -> np.ndarray:
     """Return the exactly symmetric part (A + A^T)/2.
 
-    Raises NotSymmetric when the asymmetry exceeds SYM_TOL relative to
-    1 + max|a_ij|.
+    Raises NotSymmetric when max|a_ij - a_ji| exceeds SYM_TOL * max|a_ij|,
+    a relative test that scaling ``a`` by a constant does not change.
     """
     m = as_matrix(a)
     gap = max_abs(m - m.T)
-    if gap > SYM_TOL * (1.0 + max_abs(m)):
+    if gap > SYM_TOL * max_abs(m):
         raise NotSymmetric(
             f"asymmetry {gap:.3e} exceeds tolerance {SYM_TOL:.1e} at scale {max_abs(m):.3e}"
         )
@@ -94,23 +95,18 @@ def _fix_signs(z: np.ndarray) -> None:
             z[:, j] = -z[:, j]
 
 
-def _scaled_outer(u: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
-    """beta * outer(u, w) in one array: (u_i w_j) beta has the bits of
-    beta (u_i w_j), since multiplication commutes."""
-    out = u[:, None] * w
-    out *= beta
-    return out
-
-
 def _householder_tridiag(
     m: np.ndarray, accumulate: bool
 ) -> tuple[list[float], list[float], np.ndarray | None]:
     """Reduce symmetric ``m`` to tridiagonal T = Q^T m Q by reflections.
 
-    Returns the diagonal of T, its subdiagonal with a trailing 0.0 (the
-    workspace slot QL needs), both as Python floats, and Q when
-    ``accumulate`` is set (None otherwise).  Q never feeds back into T, so
-    T has the same bits either way.
+    Each reflection updates only the trailing block, by the symmetric rank-2
+    update A - v w^T - w v^T (Golub and Van Loan, Matrix Computations,
+    Alg. 8.3.1), and stores alpha below the diagonal.  Rounded products and
+    sums commute, so the block stays exactly symmetric.  Returns the
+    diagonal of T, its subdiagonal with a trailing 0.0 (the workspace slot
+    QL needs), both as Python floats, and Q when ``accumulate`` is set (None
+    otherwise).  Q never feeds back into T, so T has the same bits either way.
     """
     a = m.copy()
     n = a.shape[0]
@@ -125,11 +121,13 @@ def _householder_tridiag(
         if vsq == 0.0:  # a zero column: nothing to annihilate
             continue
         beta = 2.0 / vsq
-        a[k + 1 :, :] -= _scaled_outer(v, v @ a[k + 1 :, :], beta)
-        a[:, k + 1 :] -= _scaled_outer(a[:, k + 1 :] @ v, v, beta)
+        a[k + 1, k] = alpha
+        t = a[k + 1 :, k + 1 :]
+        w = beta * (t @ v)
+        w -= (0.5 * beta * float(w @ v)) * v
+        t -= np.outer(v, w) + np.outer(w, v)
         if q is not None:
-            q[:, k + 1 :] -= _scaled_outer(q[:, k + 1 :] @ v, v, beta)
-    a = (a + a.T) / 2.0
+            q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, beta * v)
     return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0], q
 
 
@@ -276,15 +274,16 @@ def jacobi_eigen(a) -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A and positive diagonal.
 
-    A pivot at or below ``PIVOT_TOL * max|a_ij|`` raises NotPositiveDefinite;
-    this is the positive-definiteness test used throughout the package.
+    A pivot at or below ``PIVOT_TOL * a_jj``, its own diagonal entry, raises
+    NotPositiveDefinite; this is the positive-definiteness test used
+    throughout the package, unchanged up to rounding by a diagonal scaling.
     """
     m = symmetrize(a)
     n = m.shape[0]
-    thresh = PIVOT_TOL * max_abs(m)
     low = np.zeros_like(m)
     for j in range(n):
         pivot = m[j, j] - float(np.dot(low[j, :j], low[j, :j]))
+        thresh = PIVOT_TOL * m[j, j]
         if not math.isfinite(pivot) or pivot <= thresh:
             raise NotPositiveDefinite(
                 f"pivot {pivot:.6e} at index {j} is at or below threshold {thresh:.6e}"

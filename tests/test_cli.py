@@ -105,6 +105,21 @@ class TestExitCodes:
         path.write_text(json.dumps({"n": 2, "rows": [[1.0, 1.0], [1.0, 1.0]]}))
         assert run(["analyze", "--input", str(path), "--p", "3"]) == 3
 
+    def test_region_does_not_depend_on_units(self, tmp_path, capsys):
+        # Equicorrelated(2, 0.5) with standard deviations 1e-7 and 1: the
+        # first pivot, 1e-14, is small only against the other variance
+        path = tmp_path / "units.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e-14, 5e-8], [5e-8, 1.0]]}))
+        assert run(["region", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "(1, 1.5) excluded\n(1.5, inf) admissible\n"
+
+    def test_asymmetric_at_small_scale_is_exit_2(self, tmp_path, capsys):
+        # the off-diagonals differ fourfold, far below an absolute 1e-12
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e-14, 2e-15], [8e-15, 1e-14]]}))
+        assert run(["region", "--input", str(path)]) == 2
+        assert "asymmetry" in capsys.readouterr().err
+
     def test_malformed_json_is_exit_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -113,6 +113,33 @@ class TestSymEigvals:
             solver([[1.0, 0.5], [0.5, 1.0]])
 
 
+def _tridiag_cases():
+    yield from EIGVALS_CASES
+    # its zero columns below the first block skip their reflection
+    block = np.zeros((7, 7))
+    block[:3, :3] = covgen.generate(covgen.Equicorrelated(3, 0.5))
+    block[3:, 3:] = covgen.generate(covgen.AR1(4, 0.6))
+    yield "block-diagonal", block
+    rng = np.random.default_rng(78)
+    off = rng.standard_normal(6)
+    yield "random-tridiagonal", np.diag(rng.standard_normal(7)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+TRIDIAG_CASES = list(_tridiag_cases())
+
+
+class TestHouseholderTridiag:
+    @pytest.mark.parametrize("name,a", TRIDIAG_CASES, ids=[c[0] for c in TRIDIAG_CASES])
+    def test_reduces_to_tridiagonal(self, name, a):
+        m = matcore.symmetrize(a)
+        n = m.shape[0]
+        d, e, q = matcore._householder_tridiag(m, accumulate=True)
+        t = np.diag(d) + np.diag(e[:-1], 1) + np.diag(e[:-1], -1)
+        assert np.max(np.abs(q.T @ m @ q - t)) <= 1e-13 * matcore.max_abs(m)
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+        assert matcore._householder_tridiag(m, accumulate=False)[:2] == (d, e)
+
+
 class TestJacobiEigen:
     def test_identity(self):
         np.testing.assert_allclose(matcore.jacobi_eigen(np.eye(2)), [1.0, 1.0], atol=1e-14)
@@ -246,4 +273,11 @@ class TestValidation:
         a = [[1.0, 1.0 + 1e-13], [1.0, 1.0]]
         m = matcore.symmetrize(a)
         assert m[0, 1] == m[1, 0]
+
+    def test_symmetrize_tolerance_is_relative(self):
+        # off-diagonals that differ fourfold are asymmetric at any scale
+        with pytest.raises(NotSymmetric):
+            matcore.symmetrize([[1e-14, 2e-15], [8e-15, 1e-14]])
+        tiny = [[1e-14, 5e-15], [5e-15, 1e-14]]
+        np.testing.assert_array_equal(matcore.symmetrize(tiny), tiny)
 
