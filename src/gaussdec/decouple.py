@@ -51,6 +51,7 @@ from .errors import (
     NotAdmissibleClassical,
     NotInRegion,
     NotPositiveDefinite,
+    NotSymmetric,
 )
 
 # Minimal strict gap enforced for beta_bar > 1 when optimizing it.
@@ -107,15 +108,21 @@ def from_covariance(c) -> GaussianVector:
 
     Raises NotSymmetric for an asymmetric input, NonPositiveVariance when a
     diagonal entry is not strictly positive, and NotPositiveDefinite when the
-    Cholesky test fails.  No silent regularization is applied.
+    Cholesky test fails.  No silent regularization is applied.  Asymmetry is
+    also tested on the correlation scale, against SYM_TOL * sigma_i sigma_j.
     """
-    m = matcore.symmetrize(c)
+    raw = matcore.as_matrix(c)
+    m = matcore.symmetrize(raw)
     gamma = np.diag(m).copy()
     if np.any(gamma <= 0.0):
         bad = int(np.argmin(gamma))
         raise NonPositiveVariance(f"variance at index {bad} is {gamma[bad]:.6e}")
-    low = matcore.cholesky(m)
     sigma = np.sqrt(gamma)
+    if np.any(np.abs(raw - raw.T) > matcore.SYM_TOL * np.outer(sigma, sigma)):
+        raise NotSymmetric(
+            f"asymmetry exceeds tolerance {matcore.SYM_TOL:.1e} relative to sigma_i sigma_j"
+        )
+    low = matcore.cholesky(m)
     for arr in (m, gamma, sigma, low):
         arr.setflags(write=False)
     return GaussianVector(c=m, gamma=gamma, sigma=sigma, cholesky_factor=low)
@@ -138,7 +145,11 @@ def check_exponent(p: float) -> None:
 
 
 def variance_ratio(x: GaussianVector) -> float:
-    return float(np.max(x.gamma) / np.min(x.gamma))
+    """max gamma / min gamma; OverflowError beyond the float range."""
+    ratio = float(np.max(x.gamma)) / float(np.min(x.gamma))
+    if math.isinf(ratio):
+        raise OverflowError(f"variance ratio {np.max(x.gamma):.3e} / {np.min(x.gamma):.3e}")
+    return ratio
 
 
 def check_beta(beta: float) -> None:
@@ -391,8 +402,9 @@ def q_new(x: GaussianVector, p: float) -> float:
 
 
 def shifted_matrix(x: GaussianVector, p: float) -> np.ndarray:
-    """p * diag(gamma) - C."""
-    return np.diag(p * x.gamma) - x.c
+    """p * diag(gamma) - C; FloatingPointError when p * gamma_i overflows."""
+    with np.errstate(over="raise"):
+        return np.diag(p * x.gamma) - x.c
 
 
 def det_identity_residual(x: GaussianVector, p: float) -> float:

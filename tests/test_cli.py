@@ -120,6 +120,36 @@ class TestExitCodes:
         assert run(["region", "--input", str(path)]) == 2
         assert "asymmetry" in capsys.readouterr().err
 
+    def test_asymmetric_on_the_correlation_scale_is_exit_2(self, tmp_path, capsys):
+        # the gap, 6e-15, is small against max|c| = 1 but not against the
+        # first two variances, 1e-14
+        path = tmp_path / "tiny3.json"
+        path.write_text(json.dumps(
+            {"n": 3, "rows": [[1e-14, 2e-15, 0.0], [8e-15, 1e-14, 0.0], [0.0, 0.0, 1.0]]}
+        ))
+        assert run(["region", "--input", str(path)]) == 2
+        assert "asymmetry" in capsys.readouterr().err
+
+    def test_variance_ratio_beyond_the_float_range(self, tmp_path, capsys):
+        # variances 1e-200 and 1e200: K = I answers the region, while every
+        # report that needs the variance ratio (1e400) exits 3, warning-free
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e-200, 0.0], [0.0, 1e200]]}))
+        assert run(["region", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "(1, inf) admissible\n"
+        for args in (["analyze", "--p", "3"], ["bounds", "--p", "3"],
+                     ["bounds", "--p", "3", "--beta", "2"]):
+            assert run([*args, "--input", str(path)]) == 3
+            assert "variance ratio" in capsys.readouterr().err
+
+    def test_shifted_matrix_overflow_is_exit_3(self, tmp_path, capsys):
+        # p * gamma_i = 1e310 is beyond the float range
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "rows": [[1e10, 0.0], [0.0, 1e10]]}))
+        for command in ("analyze", "bounds"):
+            assert run([command, "--p", "1e300", "--input", str(path)]) == 3
+            assert "overflow" in capsys.readouterr().err
+
     def test_malformed_json_is_exit_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -64,6 +64,15 @@ class TestFromCovariance:
         with pytest.raises(NotSymmetric):
             decouple.from_covariance([[1.0, 0.5], [0.1, 1.0]])
 
+    def test_asymmetry_is_measured_on_the_correlation_scale(self):
+        tiny = [[1e-14, 2e-15, 0.0], [8e-15, 1e-14, 0.0], [0.0, 0.0, 1.0]]
+        matcore.symmetrize(tiny)  # within SYM_TOL * max|c|
+        with pytest.raises(NotSymmetric):
+            decouple.from_covariance(tiny)
+        d = np.array([1e-7, 1.0, 1e7])
+        c = np.outer(d, d) * np.array(covgen.generate(covgen.Equicorrelated(3, 0.5)))
+        np.testing.assert_array_equal(decouple.from_covariance(c).c, c)
+
     def test_immutable(self):
         x = decouple.from_covariance(EQUI)
         with pytest.raises(ValueError):
@@ -171,6 +180,11 @@ class TestLeastBetaBar:
         x = decouple.from_covariance(np.diag([1.0, 4.0]))
         assert decouple.least_beta_bar(x) == 4.0
         assert decouple.least_beta_bar(x, 2.0) == 4.0
+
+    def test_variance_ratio_beyond_the_float_range(self):
+        x = decouple.from_covariance(np.diag([1e-200, 1e200]))
+        with pytest.raises(OverflowError, match="variance ratio"):
+            decouple.least_beta_bar(x)
 
 
 class TestQOld:
