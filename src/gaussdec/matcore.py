@@ -2,19 +2,17 @@
 
 Symmetric eigensolvers, Cholesky factorization and pivoted-LU determinants,
 written directly against numpy arrays.  No LAPACK-backed factorization
-routine is called: orthogonal bases are built exclusively from Householder
-reflections and Jacobi rotations, which stay orthonormal to machine precision
-regardless of conditioning.
+routine is called: reductions use Householder reflections and Jacobi
+rotations, which stay orthonormal to machine precision regardless of
+conditioning.
 
-Two independent eigensolvers are provided on purpose.  ``sym_eigvals``
+Two eigensolvers that share no code are provided on purpose.  ``sym_eigvals``
 (Householder tridiagonalization, one symmetric rank-2 update of the trailing
-block per reflection, then implicitly shifted QL sweeps, with no basis
-accumulated) is the production path; ``jacobi_eigen`` (cyclic two-sided
-rotations) shares no code with it and is a values-only oracle, for
-``correlation_eigs_oracle`` and the test suite.  ``sym_eigen`` runs the same
-reduction and QL loop while accumulating the eigenvectors, an order of
-magnitude dearer in pure Python, and returns bit for bit the eigenvalues of
-``sym_eigvals``; only ``decouple.simultaneous_diagonalization`` calls it.
+block per reflection, then implicitly shifted QL sweeps, values only) is the
+production path.  ``sym_eigen`` (cyclic two-sided Jacobi rotations, folded
+into a basis) is its oracle and the only source of eigenvectors; only
+``decouple.simultaneous_diagonalization`` and the tests call it, and
+``jacobi_eigen`` returns its eigenvalues.
 """
 
 from __future__ import annotations
@@ -95,22 +93,18 @@ def _fix_signs(z: np.ndarray) -> None:
             z[:, j] = -z[:, j]
 
 
-def _householder_tridiag(
-    m: np.ndarray, accumulate: bool
-) -> tuple[list[float], list[float], np.ndarray | None]:
-    """Reduce symmetric ``m`` to tridiagonal T = Q^T m Q by reflections.
+def _householder_tridiag(m: np.ndarray) -> tuple[list[float], list[float]]:
+    """Reduce symmetric ``m`` to a tridiagonal T = Q^T m Q by reflections.
 
     Each reflection updates only the trailing block, by the symmetric rank-2
     update A - v w^T - w v^T (Golub and Van Loan, Matrix Computations,
     Alg. 8.3.1), and stores alpha below the diagonal.  Rounded products and
-    sums commute, so the block stays exactly symmetric.  Returns the
-    diagonal of T, its subdiagonal with a trailing 0.0 (the workspace slot
-    QL needs), both as Python floats, and Q when ``accumulate`` is set (None
-    otherwise).  Q never feeds back into T, so T has the same bits either way.
+    sums commute, so the block stays exactly symmetric.  Q is never formed.
+    Returns the diagonal of T and its subdiagonal with a trailing 0.0 (the
+    workspace slot QL needs), both as Python floats.
     """
     a = m.copy()
     n = a.shape[0]
-    q = np.eye(n) if accumulate else None
     for k in range(n - 2):
         x = a[k + 1 :, k]
         norm = math.sqrt(float(np.dot(x, x)))
@@ -126,19 +120,15 @@ def _householder_tridiag(
         w = beta * (t @ v)
         w -= (0.5 * beta * float(w @ v)) * v
         t -= np.outer(v, w) + np.outer(w, v)
-        if q is not None:
-            q[:, k + 1 :] -= np.outer(q[:, k + 1 :] @ v, beta * v)
-    return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0], q
+    return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0]
 
 
-def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
+def _tridiag_ql(d: list[float], e: list[float]) -> None:
     """Implicitly shifted QL on the tridiagonal (d, e), in place.
 
     On exit ``d`` holds the eigenvalues (unsorted).  ``e`` must have length
-    n with e[n-1] free as workspace.  When ``zt`` is given, every rotation
-    is folded into its rows, which hold the basis transposed (rows are
-    contiguous, so each update is one vector operation); without it no
-    basis is touched and the loop is scalar arithmetic on Python floats.
+    n with e[n-1] free as workspace.  No basis is touched, so the loop is
+    scalar arithmetic on Python floats.
     """
     eps = _EPS
     n = len(d)
@@ -180,83 +170,65 @@ def _tridiag_ql(d: list[float], e: list[float], zt: np.ndarray | None) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if zt is not None:
-                    zt[i], zt[i + 1] = c * zt[i] - s * zt[i + 1], s * zt[i] + c * zt[i + 1]
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
 
 
-def sym_eigen(a) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Householder reflections reduce the matrix to tridiagonal form; implicitly
-    shifted QL iterations then drive the off-diagonal to zero, accumulating
-    every rotation into the eigenvector basis; an off-diagonal entry deflates
-    at machine epsilon relative to its diagonal neighbours.  Callers that
-    need only the eigenvalues should use ``sym_eigvals``, which runs the same
-    arithmetic without the basis and returns the same bits.
-
-    Raises NotSymmetric when the input is not symmetric within SYM_TOL, and
-    NonConvergence if an eigenvalue needs more than 30 shifted steps.
-    """
-    d, e, q = _householder_tridiag(symmetrize(a), accumulate=True)
-    zt = q.T.copy()
-    _tridiag_ql(d, e, zt)
-    order = np.argsort(d, kind="stable")
-    values = np.array(d)[order]
-    vectors = zt.T[:, order].copy()
-    _fix_signs(vectors)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(eigenvalues=values, eigenvectors=vectors)
-
-
 def sym_eigvals(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, as a read-only array.
 
-    The values-only path of ``sym_eigen``: the same reduction and QL steps,
-    with no orthogonal basis accumulated in either stage (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 8), so its output equals
-    ``sym_eigen(a).eigenvalues`` bit for bit at a fraction of the cost.
-    Raises as ``sym_eigen`` does.
+    The production eigensolver: Householder reduction to tridiagonal form,
+    then implicitly shifted QL steps, with no orthogonal basis formed in
+    either stage (Parlett, The Symmetric Eigenvalue Problem, ch. 8); an
+    off-diagonal entry deflates at machine epsilon relative to its diagonal
+    neighbours.  Raises NotSymmetric when the input is not symmetric within
+    SYM_TOL, and NonConvergence if an eigenvalue needs more than 30 shifted
+    steps.
     """
-    d, e, _ = _householder_tridiag(symmetrize(a), accumulate=False)
-    _tridiag_ql(d, e, None)
+    d, e = _householder_tridiag(symmetrize(a))
+    _tridiag_ql(d, e)
     values = np.sort(d, kind="stable")
     values.setflags(write=False)
     return values
 
 
-def _rotate_sym(m: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    mp = m[:, p].copy()
-    mq = m[:, q].copy()
-    m[:, p] = c * mp - s * mq
-    m[:, q] = s * mp + c * mq
-    rp = m[p, :].copy()
-    rq = m[q, :].copy()
-    m[p, :] = c * rp - s * rq
-    m[q, :] = s * rp + c * rq
-    m[p, q] = 0.0
-    m[q, p] = 0.0
+def _rotate_columns(x: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    """x <- x J in place, where the rotation J mixes columns p and q only."""
+    xp = x[:, p].copy()
+    xq = x[:, q].copy()
+    x[:, p] = c * xp - s * xq
+    x[:, q] = s * xp + c * xq
 
 
-def jacobi_eigen(a) -> np.ndarray:
-    """Eigenvalues by cyclic Jacobi rotations, ascending, as a read-only array.
+def sym_eigen(a) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Independent of the tridiagonal route in ``sym_eigen``; quadratically
-    convergent and unconditionally orthogonal, so it makes a good oracle.
+    Each rotation J annihilates one off-diagonal pair, m <- J^T m J, and is
+    folded into the basis, v <- v J, so a = v m v^T throughout.  Sweeps stop
+    once the off-diagonal mass is below machine epsilon times the Frobenius
+    norm.  Quadratically convergent, unconditionally orthogonal, and far
+    dearer in pure Python than ``sym_eigvals``, which it checks.
+
+    Raises NotSymmetric when the input is not symmetric within SYM_TOL, and
+    NonConvergence after 50 sweeps.
     """
     m = symmetrize(a)
     n = m.shape[0]
+    v = np.eye(n)
     fro = math.sqrt(float(np.sum(m * m)))
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(2.0 * float(np.sum(np.tril(m, -1) ** 2)))
         if off <= _EPS * fro:
-            values = np.sort(np.diag(m), kind="stable")
+            diag = np.diag(m)
+            order = np.argsort(diag, kind="stable")
+            values = diag[order]
+            vectors = v[:, order]
+            _fix_signs(vectors)
             values.setflags(write=False)
-            return values
+            vectors.setflags(write=False)
+            return Spectrum(eigenvalues=values, eigenvectors=vectors)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = m[p, q]
@@ -265,10 +237,20 @@ def jacobi_eigen(a) -> np.ndarray:
                 theta = (m[q, q] - m[p, p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                _rotate_sym(m, p, q, c, t * c)
+                s = t * c
+                _rotate_columns(m, p, q, c, s)
+                _rotate_columns(m.T, p, q, c, s)
+                _rotate_columns(v, p, q, c, s)
+                m[p, q] = 0.0
+                m[q, p] = 0.0
     raise NonConvergence(
         f"off-diagonal mass not annihilated after {_JACOBI_MAX_SWEEPS} Jacobi sweeps"
     )
+
+
+def jacobi_eigen(a) -> np.ndarray:
+    """The eigenvalues of ``sym_eigen``: ascending, read-only, by Jacobi."""
+    return sym_eigen(a).eigenvalues
 
 
 def cholesky(a) -> np.ndarray:

@@ -17,11 +17,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gaussdec"
 ENTRY_POINTS = ("main", "entrypoint")
 
 # No command reaches these; each stays in src for one reason.
-# - sym_eigen (with Spectrum and _fix_signs) and simultaneous_diagonalization
-#   (with SimDiag): the benchmark traces both by name (bench/spans.py), and
-#   the tests check sym_eigen against sym_eigvals bit for bit.
-# - jacobi_eigen (with _rotate_sym) and correlation_eigs_oracle: the tests'
-#   independent eigenvalue oracle; the benchmark traces jacobi_eigen too.
+# - sym_eigen (with Spectrum, _fix_signs and _rotate_columns) and
+#   simultaneous_diagonalization (with SimDiag): the benchmark traces both by
+#   name (bench/spans.py); sym_eigen is also the tests' Jacobi oracle.
+# - jacobi_eigen and correlation_eigs_oracle: the tests' independent
+#   eigenvalue oracle; the benchmark traces jacobi_eigen too.
 # The set shrinks when the benchmark traces sym_eigvals in place of the dead
 # names, and again when the eigenvector code moves to the test oracles
 # (ROADMAP, "Benchmark catch-up", step 1, and "One eigen path in src").
@@ -30,7 +30,7 @@ NOT_FROM_COMMANDS = {
     "_fix_signs",
     "sym_eigen",
     "jacobi_eigen",
-    "_rotate_sym",
+    "_rotate_columns",
     "SimDiag",
     "simultaneous_diagonalization",
     "correlation_eigs_oracle",
