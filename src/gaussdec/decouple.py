@@ -83,8 +83,12 @@ class GaussianVector:
         return self.c.shape[0]
 
     def _correlation(self) -> np.ndarray:
-        """K = diag(1/sigma) C diag(1/sigma)."""
-        return self.c / np.outer(self.sigma, self.sigma)
+        """K = diag(1/sigma) C diag(1/sigma), with a diagonal of exactly 1:
+        sigma_i^2 may round away from gamma_i, and a K_ii of 1 +- 2^-52
+        would put a spurious breakpoint next to 1."""
+        k = self.c / np.outer(self.sigma, self.sigma)
+        np.fill_diagonal(k, 1.0)
+        return k
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:

@@ -449,6 +449,14 @@ class TestRegion:
         assert run(["region", "--input", str(path), "--output", str(out)]) == 0
         assert out.read_text() == "(1, inf) admissible\n"
 
+    @pytest.mark.parametrize("variances", [(2.0, 3.0), (3.0, 5.0), (1e-5, 3.0)])
+    def test_diagonal_region_has_no_spurious_interval(self, tmp_path, capsys, variances):
+        # sqrt(gamma_i)^2 != gamma_i here; an inexact K_ii put a breakpoint at 1
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({"n": 2, "rows": np.diag(variances).tolist()}))
+        assert run(["region", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "(1, inf) admissible\n"
+
     def test_json_format(self, equi_file, tmp_path):
         out = tmp_path / "region.json"
         assert run(["region", "--input", equi_file, "--format", "json",

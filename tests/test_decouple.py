@@ -73,6 +73,17 @@ class TestFromCovariance:
         c = np.outer(d, d) * np.array(covgen.generate(covgen.Equicorrelated(3, 0.5)))
         np.testing.assert_array_equal(decouple.from_covariance(c).c, c)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_correlation_has_an_exact_unit_diagonal(self, seed):
+        # sigma_i^2 rounds away from gamma_i for most scales; K_ii must not
+        rng = np.random.default_rng(1800 + seed)
+        n = int(rng.integers(2, 20))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        c = np.outer(d, d) * covgen.generate(covgen.RandomSPD(n, seed=seed, cond=50.0))
+        k = decouple.from_covariance(c)._correlation()
+        assert np.all(np.diag(k) == 1.0)
+        assert float(np.sum(np.diag(k))) == n
+
     def test_immutable(self):
         x = decouple.from_covariance(EQUI)
         with pytest.raises(ValueError):
