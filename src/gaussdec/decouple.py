@@ -19,9 +19,9 @@ vector by the values-only solver ``matcore.sym_eigvals``: the breakpoints
 1/xi_j = lambda_j, the region, and both constants, which depend on C only
 through lambda because det C = prod(gamma_i) * prod(lambda_j).  No output
 reads an eigenvector.  The paper's construction R = U D V from two symmetric
-eigendecompositions is built on request by ``simultaneous_diagonalization``;
-the tests check its defining relations, and ``correlation_eigs_oracle``
-checks lambda with an independent solver.
+eigendecompositions is built on request by ``simultaneous_diagonalization``,
+and the tests check its defining relations; the test oracles check lambda
+with an independent solver.
 
 The admissible set for ``q_new`` keeps the exponents p farther than a
 relative margin from every breakpoint and with an even count of breakpoints
@@ -261,7 +261,8 @@ class SimDiag:
 def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
     """The R = U D V construction for this vector, built on request.
 
-    Two eigenvector-accumulating eigensolves; each call builds it anew.
+    Two Jacobi eigendecompositions (``matcore.sym_eigen``); each call builds
+    it anew.
     """
     spec_c = matcore.sym_eigen(x.c)
     mu = spec_c.eigenvalues
@@ -285,18 +286,6 @@ def simultaneous_diagonalization(x: GaussianVector) -> SimDiag:
     for arr in (u, d, v, r, xi):
         arr.setflags(write=False)
     return SimDiag(u=u, d=d, v=v, r=r, xi=xi)
-
-
-def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:
-    """Eigenvalues of diag(1/sigma) C diag(1/sigma), descending.
-
-    Computed with the Jacobi solver, sharing no code with the ``sym_eigvals``
-    route behind the region and the constants, so it is an independent check
-    on the multiset {1/xi_j}.
-    """
-    out = matcore.jacobi_eigen(x._correlation())[::-1].copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@
   its supremum over b (Lieb, Invent. Math. 102, 1990).  Acceptance
   criterion 6 and ``test_verify.TestBrascampLieb`` check one against the
   other.
+* ``correlation_eigs_oracle``: the eigenvalues of a vector's correlation
+  matrix K by the Jacobi solver, which shares no code with the
+  ``sym_eigvals`` route behind the region and the constants.  Acceptance
+  criterion 2 and ``test_decouple`` check the multiset {1/xi_j} and the
+  breakpoints against it.
 """
 
 import math
@@ -12,6 +17,7 @@ import math
 import numpy as np
 
 from gaussdec import matcore
+from gaussdec.decouple import GaussianVector
 from gaussdec.errors import InvalidParameter
 
 
@@ -51,3 +57,10 @@ def bl_bound(a, p: float) -> float:
     return math.exp(
         (1.0 - 1.0 / p) * ((n / 2.0) * math.log(2.0 * math.pi) - 0.5 * log_det_a)
     )
+
+
+def correlation_eigs_oracle(x: GaussianVector) -> np.ndarray:
+    """Eigenvalues of diag(1/sigma) C diag(1/sigma), descending, by Jacobi."""
+    out = matcore.jacobi_eigen(x._correlation())[::-1].copy()
+    out.setflags(write=False)
+    return out

@@ -54,7 +54,7 @@ def test_criterion_1_exact_determinant_identity():
 def test_criterion_2_xi_oracle_equivalence():
     for x in suite():
         inv_xi = 1.0 / decouple.simultaneous_diagonalization(x).xi
-        oracle = decouple.correlation_eigs_oracle(x)
+        oracle = oracles.correlation_eigs_oracle(x)
         a = np.sort(inv_xi)
         b = np.sort(oracle)
         assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))

@@ -20,8 +20,8 @@ ENTRY_POINTS = ("main", "entrypoint")
 # - sym_eigen (with Spectrum, _fix_signs and _rotate_columns) and
 #   simultaneous_diagonalization (with SimDiag): the benchmark traces both by
 #   name (bench/spans.py); sym_eigen is also the tests' Jacobi oracle.
-# - jacobi_eigen and correlation_eigs_oracle: the tests' independent
-#   eigenvalue oracle; the benchmark traces jacobi_eigen too.
+# - jacobi_eigen: sym_eigen's eigenvalues, which the tests' oracles read
+#   (tests/oracles.py); the benchmark traces it too.
 # The set shrinks when the benchmark traces sym_eigvals in place of the dead
 # names, and again when the eigenvector code moves to the test oracles
 # (ROADMAP, "Benchmark catch-up", step 1, and "One eigen path in src").
@@ -33,7 +33,6 @@ NOT_FROM_COMMANDS = {
     "_rotate_columns",
     "SimDiag",
     "simultaneous_diagonalization",
-    "correlation_eigs_oracle",
 }
 
 
