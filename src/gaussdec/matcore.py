@@ -238,6 +238,7 @@ def sym_eigen(a) -> Spectrum:
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
+                # m <- J^T m J: its columns, then its rows (the columns of m.T)
                 _rotate_columns(m, p, q, c, s)
                 _rotate_columns(m.T, p, q, c, s)
                 _rotate_columns(v, p, q, c, s)
