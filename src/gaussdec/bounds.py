@@ -155,7 +155,7 @@ def report(x: decouple.GaussianVector, p: float, beta: float = 1.0) -> BoundsRep
     except NotApplicable:
         ostrowski = None
     try:
-        corner: float | None = cornerstone_bound(x, p, decouple.beta_bar(x, beta))
+        corner: float | None = cornerstone_bound(x, p, decouple.least_beta_bar(x, beta))
     except NotAdmissibleClassical:
         corner = None
     return BoundsReport(

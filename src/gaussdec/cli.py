@@ -194,7 +194,10 @@ def _parse_grid(text: str) -> list[float]:
         raise InvalidParameter(f"malformed grid {text!r}: {exc}") from exc
     if not (step > 0.0 and start < stop and math.isfinite(start) and math.isfinite(stop)):
         raise InvalidParameter(f"grid needs step > 0 and start < stop, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise InvalidParameter(f"grid {text!r} has an infinite point count")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 

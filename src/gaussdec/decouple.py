@@ -162,8 +162,17 @@ def check_beta(beta: float) -> None:
         raise InvalidParameter(f"beta must be >= 1, got {beta}")
 
 
-def beta_bar(x: GaussianVector, beta: float) -> float:
-    """max(variance ratio, beta); must come out strictly above 1."""
+def least_beta_bar(x: GaussianVector, beta: float | None = None) -> float:
+    """The least beta_bar the classical route accepts.
+
+    For a fixed ``beta`` (checked by ``check_beta``) that is
+    max(variance ratio, beta), which must come out strictly above 1: it
+    raises DegenerateBeta when both are 1, since then no exponent
+    qualifies.  For ``None`` (the optimal route) it is the floor
+    max(variance ratio, 1 + EPS_BETA) below which ``optimal_beta_bar`` finds
+    no valid choice.  Times p(X), it is the classical threshold."""
+    if beta is None:
+        return max(variance_ratio(x), 1.0 + EPS_BETA)
     check_beta(beta)
     bb = max(variance_ratio(x), float(beta))
     if bb <= 1.0:
@@ -171,19 +180,6 @@ def beta_bar(x: GaussianVector, beta: float) -> float:
             "variance ratio and beta are both 1; the classical constant needs beta_bar > 1"
         )
     return bb
-
-
-def least_beta_bar(x: GaussianVector, beta: float | None = None) -> float:
-    """The least beta_bar the classical route accepts.
-
-    For a fixed ``beta`` that is beta_bar(x, beta), which raises
-    DegenerateBeta when no exponent qualifies.  For ``None`` (the optimal
-    route) it is the floor max(variance ratio, 1 + EPS_BETA) below which
-    ``optimal_beta_bar`` finds no valid choice.  Times p(X), it is the
-    classical threshold."""
-    if beta is not None:
-        return beta_bar(x, beta)
-    return max(variance_ratio(x), 1.0 + EPS_BETA)
 
 
 def optimal_beta_bar(x: GaussianVector, p: float) -> float:
@@ -207,9 +203,9 @@ def optimal_beta_bar(x: GaussianVector, p: float) -> float:
 
 
 def classical_beta_bar(x: GaussianVector, p: float, beta: float | None) -> float:
-    """The beta_bar of the classical route: ``beta_bar(x, beta)`` for a fixed
-    ``beta``, ``optimal_beta_bar(x, p)`` when ``beta`` is None."""
-    return beta_bar(x, beta) if beta is not None else optimal_beta_bar(x, p)
+    """The beta_bar of the classical route: ``least_beta_bar(x, beta)`` for a
+    fixed ``beta``, ``optimal_beta_bar(x, p)`` when ``beta`` is None."""
+    return least_beta_bar(x, beta) if beta is not None else optimal_beta_bar(x, p)
 
 
 def check_classical(x: GaussianVector, p: float, beta_bar_value: float) -> None:

@@ -3,8 +3,10 @@
 Pieces:
 
 * marginal p-norms ||f(sigma Z)||_p for the two test-function families,
-  in closed form: absolute normal moments through the Gamma function for
-  PolyGauss, and normal tail masses through erfc for indicators;
+  in closed form and in log space throughout: log absolute normal moments
+  through lgamma for PolyGauss, and log normal masses for indicators (erf
+  for an interval that straddles 0, erfc tails otherwise), so that only
+  log E / p is exponentiated;
 * seeded, chunked Monte Carlo estimation of E prod f_i(X_i) by sampling
   x = L z with the Cholesky factor L of C and z from numpy's SFC64 bit
   generator: the chunks run concurrently on a thread pool sized by the CPU
@@ -76,12 +78,14 @@ class PolyGauss:
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(x), written into ``out`` (and returned) when given."""
         bump = np.multiply(x, x, out=out)
-        # (x*x)/(-s) has the bits of -(x*x)/s: IEEE division is sign-symmetric
-        bump /= -self.s
+        # (x*x)/(-t) has the bits of -(x*x)/t: IEEE division is sign-symmetric
+        bump /= -(self.k * self.s) if self.k else -self.s
         np.exp(bump, out=bump)
-        # |x|^0 * bump has the bits of bump; skipping the product halves the cost
         if self.k:
-            bump *= np.abs(x) ** self.k
+            # (|x| exp(-x^2 / (k s)))^k: the base stays below sqrt(k s / (2e)),
+            # so no |x|^k overflows to inf against an exp of 0 (inf * 0 = NaN)
+            bump *= np.abs(x)
+            bump **= self.k
         return bump
 
 
@@ -118,17 +122,6 @@ def parse_test_functions(doc) -> list[TestFunction]:
     return out
 
 
-def _normal_mass(a: float, b: float) -> float:
-    """P(a < Z < b) for standard normal Z, from the nearer tail so that mass
-    far out in either tail keeps its relative accuracy; bounds may be +-inf."""
-    r = 1.0 / math.sqrt(2.0)
-    if a >= 0.0:
-        return 0.5 * (math.erfc(a * r) - math.erfc(b * r))
-    if b <= 0.0:
-        return 0.5 * (math.erfc(-b * r) - math.erfc(-a * r))
-    return 0.5 * (math.erf(b * r) + math.erf(-a * r))
-
-
 def _log_erfc(x: float) -> float:
     """log erfc(x), also past x of about 26.5, where erfc underflows.
 
@@ -151,12 +144,18 @@ def _log_erfc(x: float) -> float:
 
 
 def _log_normal_mass(a: float, b: float) -> float:
-    """log P(a < Z < b) for standard normal Z, from the nearer tail in log
-    space: 0.5 erfc(a') (1 - erfc(b')/erfc(a')) with a' < b' the scaled
-    bounds of the interval reflected into the upper tail.  It survives where
-    the mass itself underflows (an interval beyond about 37.5); -inf when
-    the mass is below what the difference of tails resolves."""
+    """log P(a < Z < b) for standard normal Z; bounds may be +-inf.
+
+    An interval that straddles 0 is log(0.5 (erf(b') + erf(-a'))) with
+    a', b' the scaled bounds, a sum of two positive terms in which nothing
+    cancels.  Any other interval is reflected into the upper tail and
+    taken from there in log space, 0.5 erfc(a') (1 - erfc(b')/erfc(a')) with
+    a' < b', so that it survives where the mass itself underflows (an
+    interval beyond about 37.5); -inf when the mass is below what the
+    difference of tails resolves."""
     r = 1.0 / math.sqrt(2.0)
+    if a < 0.0 < b:
+        return math.log(0.5 * (math.erf(b * r) + math.erf(-a * r)))
     if b <= 0.0:
         a, b = -b, -a
     log_a = _log_erfc(a * r)
@@ -169,37 +168,33 @@ def _log_normal_mass(a: float, b: float) -> float:
 def marginal_pnorm(f: TestFunction, sigma: float, p: float) -> float:
     """(E |f(sigma Z)|^p)^(1/p) for standard normal Z, in closed form.
 
-    Indicators: the normal mass of (a/sigma, b/sigma), taken from the nearer
-    tail with erfc; a mass below the normal float range (an interval beyond
-    about 37.5 sigma) is taken in log space, so that only log mass / p is
-    exponentiated.  PolyGauss: with q = k p and alpha = 1/2 + p sigma^2 / s,
-    the absolute normal moment
+    Indicators: the log normal mass of (a/sigma, b/sigma) by
+    ``_log_normal_mass``.  PolyGauss: with q = k p and
+    alpha = 1/2 + p sigma^2 / s, the log of the absolute normal moment
 
         E |sigma Z|^q exp(-p sigma^2 Z^2 / s)
-            = sigma^q Gamma((q + 1)/2) alpha^(-(q + 1)/2) / sqrt(2 pi),
+            = sigma^q Gamma((q + 1)/2) alpha^(-(q + 1)/2) / sqrt(2 pi).
 
-    evaluated in log space so that only log E / p is exponentiated: large q
-    overflows no intermediate, and only a norm beyond the float range raises
-    OverflowError.
+    Either way only log E / p is exponentiated: a mass below the normal
+    float range (an interval beyond about 37.5 sigma) keeps its norm, large
+    q overflows no intermediate, and only a norm beyond the float range
+    raises OverflowError.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     if not p >= 1.0:
         raise InvalidParameter(f"p must be >= 1, got {p}")
     if isinstance(f, Indicator):
-        a, b = f.a / sigma, f.b / sigma
-        mass = max(0.0, _normal_mass(a, b))
-        if mass >= sys.float_info.min:
-            return mass ** (1.0 / p)
-        return math.exp(_log_normal_mass(a, b) / p)
-    q = f.k * p
-    scale = (0.5 + p * sigma * sigma / f.s) ** -0.5
-    log_moment = (
-        math.log(scale)
-        - 0.5 * math.log(2.0 * math.pi)
-        + q * math.log(sigma * scale)
-        + math.lgamma((q + 1.0) / 2.0)
-    )
+        log_moment = _log_normal_mass(f.a / sigma, f.b / sigma)
+    else:
+        q = f.k * p
+        scale = (0.5 + p * sigma * sigma / f.s) ** -0.5
+        log_moment = (
+            math.log(scale)
+            - 0.5 * math.log(2.0 * math.pi)
+            + q * math.log(sigma * scale)
+            + math.lgamma((q + 1.0) / 2.0)
+        )
     return math.exp(log_moment / p)
 
 

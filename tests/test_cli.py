@@ -291,6 +291,8 @@ class TestExitCodes:
             {"family": {**family, "n": "2:4:1"}, "p_grid": p_grid},
             {"family": family, "p_grid": "1.5:3.0"},
             {"family": family, "p_grid": "a:b:c"},
+            # (stop - start) / step overflows to an infinite point count
+            {"family": family, "p_grid": "1.1:1e308:1e-308"},
         ]
         spec = tmp_path / "spec.json"
         out = tmp_path / "sweep.csv"
@@ -380,6 +382,21 @@ class TestNonFiniteResults:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numerically unusable" in captured.err
+
+    def test_polygauss_far_out_is_finite(self, tmp_path, capsys):
+        # at sigma 1e3, |x|^100 overflows for |x| > 1200 where exp(-x^2) is
+        # 0; evaluated as one product, inf * 0 made the estimate NaN
+        cov = tmp_path / "diag.json"
+        cov.write_text(json.dumps(cli.matrix_to_document(np.diag([1e6, 1.0]))))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "polygauss", "k": 100, "s": 1},
+                                   {"kind": "gaussbump", "s": 1}]))
+        assert run(["verify", "--input", str(cov), "--p", "2", "--functions", str(fns),
+                    "--samples", "100000", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert math.isfinite(doc["lhs_estimate"]) and doc["passed"] is True
 
     def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
         out = tmp_path / "bounds.json"

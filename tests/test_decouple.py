@@ -115,19 +115,19 @@ class TestDecouplingCoefficient:
 
 class TestBetaBar:
     def test_identity_beta_two(self):
-        assert decouple.beta_bar(decouple.from_covariance(np.eye(2)), 2.0) == 2.0
+        assert decouple.least_beta_bar(decouple.from_covariance(np.eye(2)), 2.0) == 2.0
 
     def test_ratio_dominates(self):
         x = decouple.from_covariance(np.diag([1.0, 4.0]))
-        assert decouple.beta_bar(x, 1.0) == 4.0
+        assert decouple.least_beta_bar(x, 1.0) == 4.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateBeta):
-            decouple.beta_bar(decouple.from_covariance(np.eye(2)), 1.0)
+            decouple.least_beta_bar(decouple.from_covariance(np.eye(2)), 1.0)
 
     def test_beta_below_one_rejected(self):
         with pytest.raises(InvalidParameter):
-            decouple.beta_bar(decouple.from_covariance(np.eye(2)), 0.5)
+            decouple.least_beta_bar(decouple.from_covariance(np.eye(2)), 0.5)
 
     @pytest.mark.parametrize("beta", [0.5, math.nextafter(1.0, 0.0), -math.inf, math.nan])
     def test_check_beta_rejects(self, beta):

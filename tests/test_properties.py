@@ -9,9 +9,10 @@ closer than the membership margin end one interval, and membership still
 follows the parity rule around them.
 The classical route's p(X) is never below the top breakpoint and equals it
 for equicorrelated covariances; above it both paper constants are at least 1.
-Marginal p-norms are nondecreasing in p (Lyapunov) and scale with sigma as
-the test functions do.  The sampler's mean of Gaussian bumps lies within
-four standard errors of its closed form.  The command line answers every
+Marginal p-norms are nondecreasing in p (Lyapunov), scale with sigma as
+the test functions do, and, for an indicator, do not change by a bit when
+its interval is reflected through 0.  The sampler's mean of Gaussian bumps
+lies within four standard errors of its closed form.  The command line answers every
 finite square matrix with a documented exit code.  Examples are
 derandomized so the suite is deterministic.
 """
@@ -271,6 +272,25 @@ def test_pnorm_sigma_scaling(k, s, sigma, p):
     scaled = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
     unit = sigma**k * verify.marginal_pnorm(verify.PolyGauss(k, s / sigma**2), 1.0, p)
     assert math.isclose(scaled, unit, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(
+    ends=st.lists(st.floats(-60.0, 60.0), min_size=2, max_size=2, unique=True),
+    open_low=st.booleans(),
+    open_high=st.booleans(),
+    sigma=st.floats(0.1, 10.0),
+    p=st.floats(1.0, 30.0),
+)
+def test_indicator_pnorm_reflection_symmetry(ends, open_low, open_high, sigma, p):
+    # Z and -Z have one law, so (a, b) and (-b, -a) have one mass; the norm
+    # is taken from the same tail either way and must agree bit for bit
+    lo, hi = sorted(ends)
+    a = -math.inf if open_low else lo
+    b = math.inf if open_high else hi
+    direct = verify.marginal_pnorm(verify.Indicator(a, b), sigma, p)
+    reflected = verify.marginal_pnorm(verify.Indicator(-b, -a), sigma, p)
+    assert direct.hex() == reflected.hex()
 
 
 @PROPERTY

@@ -106,21 +106,22 @@ class TestTestFunctions:
     ])
     def test_evaluate_into_out(self, f):
         # writing into out gives the bits of a fresh result, and of the
-        # expressions the sampler used before it wrote into a work row; NaN
-        # inputs give NaN either way (IEEE leaves the sign of a NaN result
-        # open)
+        # plain expressions of each family, polygauss k > 0 in its
+        # overflow-free form (|x| exp(-x^2 / (k s)))^k; NaN inputs give NaN
+        # either way (IEEE leaves the sign of a NaN result open)
         rng = np.random.default_rng(0)
         special = [0.0, -0.0, 5e-324, 0.5, -1.0, 40.0, math.inf, -math.inf, math.nan]
         x = np.concatenate([4.0 * rng.standard_normal(64), special])
         out = np.full(x.size, 7.0)
-        with np.errstate(invalid="ignore"):  # |inf|^k * exp(-inf) is NaN
+        with np.errstate(invalid="ignore"):  # |inf| * exp(-inf) is NaN
             fresh = f.evaluate(x)
             got = f.evaluate(x, out)
             if isinstance(f, verify.Indicator):
                 before = ((x > f.a) & (x < f.b)).astype(float)
+            elif f.k == 0:
+                before = np.exp(-(x * x) / f.s)
             else:
-                bump = np.exp(-(x * x) / f.s)
-                before = bump if f.k == 0 else np.abs(x) ** f.k * bump
+                before = (np.abs(x) * np.exp(-(x * x) / (f.k * f.s))) ** f.k
         assert got is out
         assert np.array_equal(float_bits(got), float_bits(fresh))
         nan = np.isnan(before)
@@ -363,6 +364,11 @@ class TestMarginalPnorm:
             (40.0, math.inf),
             (-math.inf, -40.0),
             (38.0, 45.0),
+            # intervals that end at 0, that straddle 0, and the full line
+            (0.0, 1.0),
+            (-1.0, 0.0),
+            (-0.5, 0.5),
+            (-math.inf, math.inf),
         ],
     )
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -381,6 +387,17 @@ class TestMarginalPnorm:
         # abs=0: approx's default absolute tolerance of 1e-12 would pass
         # 0.0 for a norm of 1e-117
         assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_full_line_is_exactly_one(self):
+        for sigma, p in ((1.0, 1.0), (2.0, 3.0), (0.3, 10.0)):
+            assert verify.marginal_pnorm(verify.Indicator(-math.inf, math.inf), sigma, p) == 1.0
+
+    def test_subnormal_interval_keeps_its_norm(self):
+        # the mass is about 4e-324, subnormal; its 2-norm, about 2e-162, is
+        # a normal float, and is taken from the log of the mass
+        val = verify.marginal_pnorm(verify.Indicator(-5e-324, 5e-324), 1.0, 2.0)
+        assert 0.0 < val < math.inf
+        assert val == pytest.approx(2.0e-162, rel=0.2)
 
 
 class TestMCExpectation:
