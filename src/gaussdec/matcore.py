@@ -63,15 +63,19 @@ def symmetrize(a) -> np.ndarray:
     """Return the exactly symmetric part (A + A^T)/2.
 
     Raises NotSymmetric when max|a_ij - a_ji| exceeds SYM_TOL * max|a_ij|,
-    a relative test that scaling ``a`` by a constant does not change.
+    a relative test that scaling ``a`` by a constant does not change.  Both
+    the test and the sum run on H = A/2, so that no finite entry overflows
+    (a_ij + a_ji does above about 8.99e307); halving is exact for normal
+    floats, so the result has the bits of (A + A^T)/2 wherever no entry of
+    H is subnormal.
     """
-    m = as_matrix(a)
-    gap = max_abs(m - m.T)
-    if gap > SYM_TOL * max_abs(m):
+    h = 0.5 * as_matrix(a)
+    gap, scale = max_abs(h - h.T), max_abs(h)
+    if gap > SYM_TOL * scale:
         raise NotSymmetric(
-            f"asymmetry {gap:.3e} exceeds tolerance {SYM_TOL:.1e} at scale {max_abs(m):.3e}"
+            f"asymmetry {gap / scale:.3e} relative to max|a_ij| exceeds tolerance {SYM_TOL:.1e}"
         )
-    return (m + m.T) / 2.0
+    return h + h.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,11 @@ Pieces:
   x = L z with the Cholesky factor L of C and z from numpy's SFC64 bit
   generator: the chunks run concurrently on a thread pool sized by the CPU
   affinity mask, each one in blocks of MC_BLOCK rows drawn, multiplied and
-  evaluated in buffers the chunk allocates once, and the estimate is
-  bit-identical however they are run.  Versions of gaussdec that drew z
-  from PCG64 (numpy's default_rng) gave other estimates for the same seed;
+  evaluated in buffers the chunk allocates once.  Indicators fold into one
+  survival mask per block, and the other test functions are evaluated only
+  on the samples that survive it.  The estimate is bit-identical however
+  the chunks are run.  Versions of gaussdec that drew z from PCG64
+  (numpy's default_rng) gave other estimates for the same seed;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -54,11 +56,17 @@ class Indicator:
         if math.isnan(self.a) or math.isnan(self.b) or not self.a < self.b:
             raise InvalidParameter(f"indicator needs a < b, got ({self.a}, {self.b})")
 
+    def inside(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """a < x < b, written into ``out`` (and returned): booleans into a
+        bool array, 1.0 and 0.0 into a float one.  Both bounds are always
+        compared, so +-inf and NaN lie outside whatever the bounds."""
+        return np.logical_and(np.greater(x, self.a), np.less(x, self.b), out=out)
+
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(x) as floats, written into ``out`` (and returned) when given."""
         if out is None:
             out = np.empty(np.shape(x))
-        return np.logical_and(x > self.a, x < self.b, out=out)
+        return self.inside(x, out)
 
 
 @dataclass(frozen=True)
@@ -227,11 +235,14 @@ def mc_expectation(
     chunks), and their sums are merged in chunk order.  Each chunk draws and
     evaluates its normals in blocks of MC_BLOCK rows, reusing one set of
     buffers, so memory is bounded by about
-    workers x (2 MC_BLOCK n + MC_CHUNK + MC_BLOCK) floats whatever the
-    sample count.  An exception in a worker, or one raised in the calling
-    thread (an alarm, an interrupt), cancels the chunks not yet started and
-    stops the running ones at their next block, so the call ends within
-    about one block.
+    workers x (2 MC_BLOCK n + MC_CHUNK + 3 MC_BLOCK) floats and
+    workers x 2 MC_BLOCK booleans whatever the sample count: the normals,
+    the samples, the chunk's products, a work row, a gathered row and a
+    product row for the samples that survive every indicator, and two mask
+    rows (see _chunk_sums).  An exception in a worker, or one raised in the
+    calling thread (an alarm, an interrupt), cancels the chunks not yet
+    started and stops the running ones at their next block, so the call
+    ends within about one block.
     """
     samples = as_int(samples, "samples")
     seed = as_int(seed, "seed")
@@ -312,16 +323,31 @@ def _chunk_sums(
     z by consecutive standard_normal calls, which consume the stream exactly
     as one (m, n) call does, and one matmul of one shape lands x = L z^T as
     n contiguous rows with the bits of the whole-chunk product; a last,
-    shorter block's unused columns are computed and ignored.  Every f_i
-    reads a row and writes into one work row, in the order
-    ((1 * f_1) * f_2) * ... of the whole-chunk evaluation.
+    shorter block's unused columns are computed and ignored.
+
+    Each block first folds the ``inside`` masks of every Indicator into one
+    survival mask.  The other factors (PolyGauss, and any object that is not
+    an Indicator) are then evaluated in their order on the survivors alone:
+    each row is gathered by ``np.take`` into one buffer, every f_i writes
+    into one work row, and the survivors' products, formed in one more row,
+    are scattered back with 0 at every dead sample.  A block where no sample
+    died reads x's rows in place.  An indicator factor is exactly 0 or 1, so
+    every product has the bits of ((1 * f_1) * f_2) * ... of the whole-chunk
+    evaluation, except that a dead sample gives 0, the product's true value,
+    also where another factor is inf (0 * inf is NaN).
     """
     rng = np.random.Generator(np.random.SFC64(seed))
     n = low.shape[0]
+    indicators = [(j, f) for j, f in enumerate(fs) if isinstance(f, Indicator)]
+    factors = [(j, f) for j, f in enumerate(fs) if not isinstance(f, Indicator)]
     vals = np.empty(m)
     z = np.zeros((MC_BLOCK, n))  # unused rows of a short chunk: zeros, never NaN or inf
     x = np.empty((n, MC_BLOCK))
     work = np.empty(MC_BLOCK)
+    gathered = np.empty(MC_BLOCK)
+    live = np.empty(MC_BLOCK)
+    alive = np.empty(MC_BLOCK, dtype=bool)
+    inside = np.empty(MC_BLOCK, dtype=bool)
     for start in range(0, m, MC_BLOCK):
         if stop.is_set():
             return math.nan, math.nan, 0
@@ -329,9 +355,29 @@ def _chunk_sums(
         rng.standard_normal(out=z[:rows])
         np.matmul(low, z.T, out=x)
         prod = vals[start : start + rows]
-        prod.fill(1.0)
-        for f, row in zip(fs, x[:, :rows]):
-            prod *= f.evaluate(row, work[:rows])
+        kept = None
+        if indicators:
+            survive = alive[:rows]
+            survive.fill(True)
+            for j, f in indicators:
+                survive &= f.inside(x[j, :rows], inside[:rows])
+            kept = np.flatnonzero(survive)
+            if kept.size == rows:  # no sample died: read x's rows in place
+                kept = None
+        if kept is None:
+            prod.fill(1.0)
+            for j, f in factors:
+                prod *= f.evaluate(x[j, :rows], work[:rows])
+        else:
+            width = kept.size
+            live[:width] = 1.0
+            for j, f in factors:
+                # every index is in range, so mode="clip" changes nothing
+                # but spares numpy's buffered copy for mode="raise"
+                row = np.take(x[j], kept, out=gathered[:width], mode="clip")
+                live[:width] *= f.evaluate(row, work[:width])
+            prod.fill(0.0)
+            prod[kept] = live[:width]
     total = float(np.sum(vals))
     vals -= total / m
     np.abs(vals, out=vals)

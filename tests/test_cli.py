@@ -113,6 +113,19 @@ class TestExitCodes:
         assert run(["region", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "(1, 1.5) excluded\n(1.5, inf) admissible\n"
 
+    @pytest.mark.parametrize("rows,code,out", [
+        # 1e308 * Equicorrelated(2, 0.5): finite entries whose sums overflow
+        ([[1e308, 5e307], [5e307, 1e308]], 0, "(1, 1.5) excluded\n(1.5, inf) admissible\n"),
+        ([[1.0, 1e308], [-1e308, 1.0]], 2, ""),
+    ], ids=["equicorrelated", "asymmetric"])
+    def test_entries_near_the_float_range(self, tmp_path, capsys, rows, code, out):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "rows": rows}))
+        assert run(["region", "--input", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert ("asymmetry" in captured.err) == (code == 2)
+
     def test_asymmetric_at_small_scale_is_exit_2(self, tmp_path, capsys):
         # the off-diagonals differ fourfold, far below an absolute 1e-12
         path = tmp_path / "tiny.json"

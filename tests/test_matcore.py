@@ -299,3 +299,11 @@ class TestValidation:
         tiny = [[1e-14, 5e-15], [5e-15, 1e-14]]
         np.testing.assert_array_equal(matcore.symmetrize(tiny), tiny)
 
+    def test_symmetrize_near_the_float_range(self):
+        # a_ij + a_ji and a_ij - a_ji overflow above about 8.99e307, though
+        # every entry is finite; under Tier-1 an overflow warning fails
+        big = [[1e308, 5e307], [5e307, 1e308]]
+        np.testing.assert_array_equal(matcore.symmetrize(big), big)
+        with pytest.raises(NotSymmetric):
+            matcore.symmetrize([[1.0, 1e308], [-1e308, 1.0]])
+

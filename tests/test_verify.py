@@ -128,6 +128,23 @@ class TestTestFunctions:
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(float_bits(got)[~nan], float_bits(before)[~nan])
 
+    @pytest.mark.parametrize("f", [
+        verify.Indicator(-1.0, 2.0),
+        verify.Indicator(-math.inf, 0.5),
+        verify.Indicator(0.5, math.inf),
+        verify.Indicator(-math.inf, math.inf),
+    ])
+    def test_inside_agrees_with_evaluate(self, f):
+        # the sampler's survival mask and the function's value: +-inf, NaN
+        # and the bounds themselves lie outside, the floats next to the
+        # bounds inside
+        edges = [f.a, f.b, np.nextafter(f.a, math.inf), np.nextafter(f.b, -math.inf)]
+        x = np.array([-math.inf, math.inf, math.nan, 0.0, -0.0, 5e-324, 0.5] + edges)
+        mask = f.inside(x, np.ones(x.size, dtype=bool))
+        assert mask.dtype == bool
+        assert np.array_equal(mask, f.evaluate(x) == 1.0)
+        assert not mask[:3].any() and not mask[7:9].any() and mask[9:].all()
+
     def test_open_interval_excludes_infinite_ends(self):
         x = np.array([-math.inf, math.inf, math.nan, 0.0])
         for out in (None, np.empty(4)):
@@ -464,6 +481,23 @@ class TestMCExpectation:
         assert res.lhs_stderr == pytest.approx(two_pass, rel=1e-9, abs=0.0)
         assert math.isfinite(res.margin_sigmas)
 
+    def test_dead_sample_times_an_infinite_factor_is_zero(self):
+        # X_1 = 999.9 X_2 + 14.1 Z: the indicator on X_2 kills every sample
+        # whose polygauss value overflows (|X_1| above about 1209), and its
+        # survivors stay finite.  A dead sample's product is 0, its true
+        # value, where the plain product 0 * inf is NaN.
+        x = decouple.from_covariance([[1e6, 999.9], [999.9, 1.0]])
+        fs = [verify.PolyGauss(100, 1e9), verify.Indicator(-0.01, 0.01)]
+        mean, se = verify.mc_expectation(x, fs, 200_000, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunks = sequential_chunk_values(x, fs, 200_000, seed=0)
+        assert all(np.isnan(vals).any() for vals in chunks)
+        total = 0.0
+        for vals in chunks:
+            total += float(np.sum(np.where(np.isnan(vals), 0.0, vals)))
+        assert mean == total / 200_000 and mean > 0.0
+        assert 0.0 < se < math.inf
+
     def test_sample_floor(self):
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 100, seed=0)
@@ -544,6 +578,33 @@ def oracle_vector(n, case):
     return decouple.from_covariance(covgen.generate(fam)), fs
 
 
+def _cycle(pattern):
+    return lambda n: [pattern[j % len(pattern)] for j in range(n)]
+
+
+TAIL = verify.Indicator(0.3, math.inf)
+# Function lists for test_bits on AR1(n, 0.5), whose variances are 1: the
+# sampler folds the indicators into a survival mask and evaluates the other
+# factors on the survivors alone, so neither where the indicators stand in
+# the list nor how many samples survive them may move a bit.
+NAMED_LISTS = {
+    "indicators-first": lambda n: [TAIL] * (n // 2) + _cycle(FUNCTION_MIX[1:])(n - n // 2),
+    "indicators-last": lambda n: _cycle(FUNCTION_MIX[1:])(n - n // 2) + [TAIL] * (n // 2),
+    "interleaved": _cycle([TAIL, verify.PolyGauss(2, 3.0), verify.Indicator(-1.0, 1.5)]
+                          + FUNCTION_MIX[1:]),
+    "only-indicators": _cycle([TAIL, verify.Indicator(-0.5, math.inf), verify.Indicator(-1.0, 1.0)]),
+    "no-indicators": _cycle(FUNCTION_MIX[1:] + [verify.PolyGauss(2, 1.0)]),
+    # no sample dies, so every block reads x's rows in place
+    "full-line": _cycle([verify.Indicator(-math.inf, math.inf)]),
+    # every sample dies in every block: P(X > 8) is about 6e-16
+    "all-die": lambda n: [verify.Indicator(8.0, math.inf)] + _cycle(FUNCTION_MIX[1:])(n - 1),
+    # about one survivor in 740, so many blocks of 1000 rows have none
+    "rare-survivors": lambda n: [verify.Indicator(3.0, math.inf)] + _cycle(FUNCTION_MIX[1:])(n - 1),
+    "polygauss-k3-5": _cycle([verify.PolyGauss(3, 2.0), TAIL, verify.PolyGauss(4, 1.5),
+                              verify.PolyGauss(5, 3.0)]),
+}
+
+
 class Recorder:
     """A test function that keeps a copy of every row it is handed and
     returns ones."""
@@ -573,19 +634,46 @@ class TestSamplerMatchesSequentialLoop:
             )
         ]
         # 16 chunks, the last one 16960 rows (four full blocks and 576 rows)
-        + [(9, 1_000_000, 0), (26, 1_000_000, 1), (2, 1_000_000, 2)],
+        + [(9, 1_000_000, 0), (26, 1_000_000, 1), (2, 1_000_000, 2)]
+        + [(9, verify.MC_CHUNK + 1, name) for name in NAMED_LISTS]
+        + [(5, 1_000_000, "interleaved"), (3, 1_000_000, "polygauss-k3-5")],
     )
     def test_bits(self, monkeypatch, n, samples, case):
         # MC_BLOCK is outside the contract too: a block that divides
         # MC_CHUNK (4096) or not (1000, and the prime 10007) gives the bits
         # of whole chunks
-        x, fs = oracle_vector(n, case)
-        expected = sequential_mc_expectation(x, fs, samples, seed=case)
+        if isinstance(case, str):
+            seed = n + samples
+            x = decouple.from_covariance(covgen.generate(covgen.AR1(n, 0.5)))
+            fs = NAMED_LISTS[case](n)
+        else:
+            seed = case
+            x, fs = oracle_vector(n, case)
+        expected = sequential_mc_expectation(x, fs, samples, seed=seed)
         for block in (1000, 4096, 10007):
             monkeypatch.setattr(verify, "MC_BLOCK", block)
             for workers in (1, 3):
                 monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
-                assert verify.mc_expectation(x, fs, samples, seed=case) == expected
+                assert verify.mc_expectation(x, fs, samples, seed=seed) == expected
+
+    @pytest.mark.parametrize("samples", [verify.MIN_SAMPLES + 7, verify.MC_CHUNK + 1815])
+    def test_factors_after_an_indicator_see_only_its_survivors(self, monkeypatch, samples):
+        # HALF_LINE kills about half the samples; the Recorder after it is
+        # handed the survivors alone, with the bits of the whole-chunk
+        # product at their positions, and the estimate keeps its bits
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        got = Recorder()
+        verify.mc_expectation(EQUI, [HALF_LINE, got], samples, seed=6)
+        whole = [Recorder(), Recorder()]
+        sequential_chunk_values(EQUI, whole, samples, seed=6)
+        first, second = (np.concatenate(r.rows) for r in whole)
+        kept = second[first > 0.0]
+        assert 0.4 < kept.size / samples < 0.6
+        assert np.array_equal(float_bits(np.concatenate(got.rows)), float_bits(kept))
+        fs = [HALF_LINE, Recorder()]
+        assert verify.mc_expectation(EQUI, fs, samples, seed=6) == sequential_mc_expectation(
+            EQUI, fs, samples, seed=6
+        )
 
     @pytest.mark.parametrize("samples", [
         # a last block of 1815 rows, and a second chunk of one such block
