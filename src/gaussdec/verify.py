@@ -16,6 +16,12 @@ Pieces:
   on the samples that survive it.  The estimate is bit-identical however
   the chunks are run.  Versions of gaussdec that drew z from PCG64
   (numpy's default_rng) gave other estimates for the same seed;
+* exact integration of the Gaussian bumps (PolyGauss with k = 0), whose
+  factors exp(-x^2 / s) are Gaussian kernels: one Cholesky factorization of
+  the covariance with s/2 added to the bumps' diagonal entries gives their
+  joint factor kappa in log space and the factor of the other coordinates
+  given the bumps, so the sampler draws only those (exponential tilting; Owen,
+  *Monte Carlo theory, methods and examples*, ch. 8-9);
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -31,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import decouple
+from . import decouple, matcore
 from .errors import InvalidParameter, as_int
 
 INF = math.inf
@@ -226,9 +232,10 @@ def mc_expectation(
     (seed, samples) no matter how the chunks are executed.  The generator
     is part of the contract: versions that drew from PCG64 (numpy's
     default_rng) gave other estimates for the same (seed, samples).  The
-    sums of squares are held at a power-of-two scale (see _chunk_sums), so
-    the standard error neither underflows to 0 nor overflows while the
-    products are finite.
+    chunk sums and sums of squares are held at power-of-two scales (see
+    _chunk_sums), so neither the mean nor the standard error overflows, and
+    the standard error does not underflow to 0, while the products are
+    finite.
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
@@ -244,12 +251,7 @@ def mc_expectation(
     started and stops the running ones at their next block, so the call
     ends within about one block.
     """
-    samples = as_int(samples, "samples")
-    seed = as_int(seed, "seed")
-    if samples < MIN_SAMPLES:
-        raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    samples, seed = _sample_counts(samples, seed)
     if len(fs) != x.n:
         raise InvalidParameter(f"need {x.n} test functions, got {len(fs)}")
     low = x.cholesky_factor
@@ -272,25 +274,43 @@ def mc_expectation(
     finally:
         stop.set()
         pool.shutdown(cancel_futures=True)
+    # the chunk sums are merged at the largest of their scales: each one is
+    # below 2^exp of its own, so their total overflows only where the mean
+    # would
+    top = max(exp for _, exp, _, _ in sums)
     total = 0.0
-    for chunk_sum, _, _ in sums:
-        total += chunk_sum
-    mean = total / samples
+    for chunk_sum, exp, _, _ in sums:
+        total += math.ldexp(chunk_sum, exp - top)
+    mean = math.ldexp(total / samples, top)
     # Chan, Golub and LeVeque's merge of the chunks' centred sums of squares;
     # unlike one-pass sums of v and v*v it does not cancel when v is nearly
     # constant.  It runs at the scale 2^scale of the largest chunk deviation
     # or chunk-mean gap, so squares neither underflow nor overflow; a zero
     # sum or gap sets no scale.
-    gaps = [chunk_sum / m - mean for m, (chunk_sum, _, _) in zip(sizes, sums)]
+    gaps = [
+        math.ldexp(chunk_sum / m, exp) - mean for m, (chunk_sum, exp, _, _) in zip(sizes, sums)
+    ]
     scale = max(
-        [exp for _, m2, exp in sums if m2] + [math.frexp(gap)[1] for gap in gaps if gap],
+        [exp for _, _, m2, exp in sums if m2] + [math.frexp(gap)[1] for gap in gaps if gap],
         default=0,
     )
     m2 = 0.0
-    for m, gap, (_, chunk_m2, exp) in zip(sizes, gaps, sums):
+    for m, gap, (_, _, chunk_m2, exp) in zip(sizes, gaps, sums):
         m2 += math.ldexp(chunk_m2, 2 * (exp - scale)) + m * math.ldexp(gap, -scale) ** 2
     var = m2 / (samples - 1)
     return mean, math.ldexp(math.sqrt(var / samples), scale)
+
+
+def _sample_counts(samples, seed) -> tuple[int, int]:
+    """``samples`` and ``seed`` read with ``as_int``; InvalidParameter unless
+    samples >= MIN_SAMPLES and seed >= 0."""
+    samples = as_int(samples, "samples")
+    seed = as_int(seed, "seed")
+    if samples < MIN_SAMPLES:
+        raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    return samples, seed
 
 
 def _cpu_count() -> int:
@@ -307,15 +327,17 @@ def _chunk_sums(
     m: int,
     seed: np.random.SeedSequence,
     stop: threading.Event,
-) -> tuple[float, float, int]:
-    """sum(v), the scaled centred sum of squares sum((v - mean(v))^2) / 4^exp
-    and exp over one chunk of m draws, v = prod_i f_i(X_i); NaNs, abandoning
-    the chunk, once ``stop`` is set by a failed call.  2^exp is the binary
-    exponent of max |v - mean(v)| (exp = 0 when v is constant): scaling by a
-    power of two is exact, so the scaled sum has the bits of the unscaled
-    one over 4^exp wherever that one is a normal float, and it lies in
-    [1/4, m) for a nonconstant v, even where that one would underflow to 0
-    or overflow.
+) -> tuple[float, int, float, int]:
+    """The scaled sum sum(v) / 2^sum_exp, sum_exp, the scaled centred sum of
+    squares sum((v - mean(v))^2) / 4^exp and exp over one chunk of m draws,
+    v = prod_i f_i(X_i); NaNs, abandoning the chunk, once ``stop`` is set by
+    a failed call.  2^sum_exp is the binary exponent of max |v|, and 2^exp
+    that of max |v - mean(v)| (either is 0 when what it measures is 0).
+    Scaling by a power of two is exact, so each scaled sum has the bits of
+    the unscaled one over its power of two wherever that one is a normal
+    float: every scaled term lies in (-1, 1), and the scaled sum of squares
+    in [1/4, m) for a nonconstant v, even where the unscaled sums would
+    overflow or underflow to 0.
 
     The normals come from numpy's SFC64 bit generator seeded with the
     chunk's SeedSequence child.  The chunk allocates its buffers once and
@@ -350,7 +372,7 @@ def _chunk_sums(
     inside = np.empty(MC_BLOCK, dtype=bool)
     for start in range(0, m, MC_BLOCK):
         if stop.is_set():
-            return math.nan, math.nan, 0
+            return math.nan, 0, math.nan, 0
         rows = min(MC_BLOCK, m - start)
         rng.standard_normal(out=z[:rows])
         np.matmul(low, z.T, out=x)
@@ -378,13 +400,65 @@ def _chunk_sums(
                 live[:width] *= f.evaluate(row, work[:width])
             prod.fill(0.0)
             prod[kept] = live[:width]
+    # the deviations are taken at the sum's scale, which moves their own
+    # exponent by sum_exp and leaves their bits
+    sum_exp = math.frexp(max(float(np.max(vals)), -float(np.min(vals))))[1]
+    np.ldexp(vals, -sum_exp, out=vals)
     total = float(np.sum(vals))
     vals -= total / m
     np.abs(vals, out=vals)
     exp = math.frexp(float(np.max(vals)))[1]
     np.ldexp(vals, -exp, out=vals)
     vals *= vals
-    return total, float(np.sum(vals)), exp
+    return total, sum_exp, float(np.sum(vals)), exp + sum_exp
+
+
+def _tilt(
+    x: decouple.GaussianVector, fs: list[TestFunction]
+) -> tuple[float, decouple.GaussianVector | None, list[TestFunction]]:
+    """(log kappa, Y, the test functions of Y) with
+
+        E prod_i f_i(X_i) = kappa * E prod_{i in S} f_i(Y_i),
+
+    where B holds the coordinates of the Gaussian bumps (PolyGauss with
+    k = 0) and S the others, in their order.  A bump's factor
+    exp(-x^2 / s) is the density of N(0, s/2) at x up to sqrt(pi s), so with
+    W_B ~ N(0, diag(s_B)/2) independent of X,
+
+        kappa = det(I + 2 diag(1/s_B) C_BB)^(-1/2),
+        Y = X_S given X_B + W_B = 0,
+            cov(Y) = C_SS - C_SB (C_BB + diag(s_B)/2)^(-1) C_BS.
+
+    One Cholesky factorization of A = [[C_BB + diag(s_B)/2, C_BS],
+    [C_SB, C_SS]] gives both: its leading block H has
+    log kappa = sum_b log(sqrt(s_b/2) / H_bb), each term at most 0 up to
+    rounding because A's pivots are no smaller than s_b/2, so that no sum of
+    large logs cancels; its trailing block is the Cholesky factor of cov(Y),
+    which Y carries without a second factorization.  With no bump this is
+    (0, x, fs); with bumps alone Y is None and the list is empty.
+    """
+    is_bump = [isinstance(f, PolyGauss) and f.k == 0 for f in fs]
+    if not any(is_bump):
+        return 0.0, x, fs
+    bumps = [j for j, b in enumerate(is_bump) if b]
+    rest = [j for j, b in enumerate(is_bump) if not b]
+    nb = len(bumps)
+    order = bumps + rest
+    a = x.c[np.ix_(order, order)]
+    half_s = np.array([fs[j].s for j in bumps]) / 2.0
+    a[np.arange(nb), np.arange(nb)] += half_s
+    low = matcore.cholesky(a)
+    log_kappa = float(np.sum(np.log(np.sqrt(half_s) / np.diag(low)[:nb])))
+    if not rest:
+        return log_kappa, None, []
+    factor = np.ascontiguousarray(low[nb:, nb:])
+    c = matcore.symmetrize(factor @ factor.T)
+    gamma = np.diag(c).copy()
+    sigma = np.sqrt(gamma)
+    for arr in (c, gamma, sigma, factor):
+        arr.setflags(write=False)
+    y = decouple.GaussianVector(c=c, gamma=gamma, sigma=sigma, cholesky_factor=factor)
+    return log_kappa, y, [fs[j] for j in rest]
 
 
 @dataclass(frozen=True)
@@ -421,6 +495,14 @@ def check_inequality(
 ) -> VerificationResult:
     """End-to-end test of E prod f_i(X_i) <= Q(X, p) * prod ||f_i(X_i)||_p.
 
+    The left side integrates the Gaussian bumps exactly (``_tilt``): it is
+    kappa times ``mc_expectation`` of the other functions on the reduced
+    vector, with ``samples`` and ``seed``, and kappa times its standard
+    error.  With bumps alone it is kappa, with a standard error of 0, and
+    nothing is drawn; ``samples`` and ``seed`` are checked all the same, and
+    ``samples`` reports the requested count.  Without a bump the estimate
+    has the bits of ``mc_expectation`` on X.
+
     ``constant="new"`` uses the region constant (p must be admissible with
     margin, else NotInRegion propagates).  ``constant="old"`` uses the
     classical constant with beta_bar = max(variance ratio, beta), or the
@@ -443,7 +525,14 @@ def check_inequality(
     rhs = q
     for f, sigma in zip(fs, x.sigma, strict=True):
         rhs *= marginal_pnorm(f, float(sigma), p)
-    lhs, stderr = mc_expectation(x, fs, samples, seed)
+    samples, seed = _sample_counts(samples, seed)
+    log_kappa, y, rest = _tilt(x, fs)
+    kappa = math.exp(log_kappa)
+    if y is None:
+        lhs, stderr = kappa, 0.0
+    else:
+        mean, se = mc_expectation(y, rest, samples, seed)
+        lhs, stderr = kappa * mean, kappa * se
     if stderr > 0.0:
         margin = (rhs - lhs) / stderr
     else:
@@ -453,7 +542,7 @@ def check_inequality(
         lhs_stderr=stderr,
         rhs_bound=float(rhs),
         margin_sigmas=margin,
-        samples=int(samples),
-        seed=int(seed),
+        samples=samples,
+        seed=seed,
         passed=bool(lhs <= rhs + 3.0 * stderr),
     )

@@ -210,6 +210,19 @@ class TestExitCodes:
         assert doc["lhs_estimate"] == 1.0 and doc["lhs_stderr"] == 0.0
         assert doc["margin_sigmas"] == "inf" and doc["passed"] is True
 
+    def test_verify_gaussbumps_alone_are_exact(self, equi_file, tmp_path):
+        # E exp(-X_1^2 - X_2^2 / 2) = det(I + 2 C diag(1, 1/2))^(-1/2) = 5.5^(-1/2):
+        # no draw, no spread, whatever the seed
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "gaussbump", "s": 1}, {"kind": "gaussbump", "s": 2}]))
+        out = tmp_path / "v.json"
+        assert run(["verify", "--input", equi_file, "--p", "3", "--functions", str(fns),
+                    "--seed", "5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lhs_estimate"] == pytest.approx(5.5**-0.5, rel=1e-15)
+        assert doc["lhs_stderr"] == 0.0 and doc["margin_sigmas"] == "inf"
+        assert doc["passed"] is True and doc["samples"] == 1_000_000
+
     @pytest.mark.parametrize("constant", ["new", "old"])
     @pytest.mark.parametrize("beta", ["0.5", "nan"])
     def test_verify_invalid_beta_is_exit_2(self, equi_file, functions_file, tmp_path,

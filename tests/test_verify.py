@@ -3,8 +3,10 @@ vs quadrature and high-precision references, Monte Carlo against exact
 oracles, and the end-to-end inequality check."""
 
 import math
+import sys
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -472,14 +474,35 @@ class TestMCExpectation:
     ])
     def test_stderr_where_squares_leave_the_float_range(self, cov, fs, p, scale):
         # the two-pass standard error of the same draws, taken at a scale
-        # 2^scale where the squares are normal floats
+        # 2^scale where the squares are normal floats.  check_inequality
+        # integrates a gaussbump exactly and draws other coordinates, so this
+        # pins the sampler itself; the margin is that of these draws against
+        # check_inequality's bound
         x = decouple.from_covariance(cov)
-        res = verify.check_inequality(x, fs, p, samples=1_000_000, seed=0)
+        mean, se = verify.mc_expectation(x, fs, 1_000_000, seed=0)
         vals = np.ldexp(np.concatenate(sequential_chunk_values(x, fs, 1_000_000, seed=0)), scale)
         two_pass = math.ldexp(float(np.std(vals, ddof=1)) / math.sqrt(vals.size), -scale)
         assert two_pass > 0.0 and math.isfinite(two_pass)
-        assert res.lhs_stderr == pytest.approx(two_pass, rel=1e-9, abs=0.0)
-        assert math.isfinite(res.margin_sigmas)
+        assert se == pytest.approx(two_pass, rel=1e-9, abs=0.0)
+        rhs = verify.check_inequality(x, fs, p, samples=1_000_000, seed=0).rhs_bound
+        assert math.isfinite((rhs - mean) / se)
+
+    def test_chunk_sums_of_products_near_the_float_limit(self):
+        # products up to about 2.7e307: a chunk's 65536 of them sum beyond
+        # the float range, their mean does not
+        x = decouple.from_covariance([[4e204, 0.9999 * 2e102], [0.9999 * 2e102, 1.0]])
+        fs = [verify.PolyGauss(3, 1e300), verify.Indicator(-1.5, 1.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = verify.mc_expectation(x, fs, 200_000, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.concatenate(sequential_chunk_values(x, fs, 200_000, seed=0))
+        vals = np.ldexp(np.where(np.isnan(vals), 0.0, vals), -1000)
+        # at their own scale, the first chunk's products sum beyond the range
+        assert float(np.sum(vals[: verify.MC_CHUNK])) > math.ldexp(sys.float_info.max, -1000)
+        assert mean == pytest.approx(math.ldexp(float(np.mean(vals)), 1000), rel=1e-12)
+        two_pass = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
+        assert se == pytest.approx(math.ldexp(two_pass, 1000), rel=1e-9)
 
     def test_dead_sample_times_an_infinite_factor_is_zero(self):
         # X_1 = 999.9 X_2 + 14.1 Z: the indicator on X_2 kills every sample
@@ -766,6 +789,105 @@ class TestCheckInequality:
             "seed",
             "passed",
         }
+
+
+def top_breakpoint(x):
+    return float(max(decouple.region_of(x).breakpoints))
+
+
+class TestGaussbumpTilt:
+    """check_inequality integrates the Gaussian bumps exactly and samples the
+    other coordinates given them."""
+
+    def test_bump_only_lhs_is_exact(self):
+        # plain sampling gave 1.71e-11 +- 1.64e-11 here with 1e6 samples
+        c = covgen.generate(covgen.RandomSPD(20, seed=3, cond=100.0))
+        x = decouple.from_covariance(c)
+        s = np.random.default_rng(1).uniform(0.5, 4.0, 20)
+        sign, logdet = np.linalg.slogdet(np.eye(20) + 2.0 * c / s[None, :])
+        assert sign == 1.0
+        fs = [verify.PolyGauss(0, float(v)) for v in s]
+        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=1_000_000, seed=0)
+        assert res.lhs_estimate == pytest.approx(math.exp(-0.5 * logdet), rel=1e-12, abs=0.0)
+        assert res.lhs_stderr == 0.0 and res.margin_sigmas == math.inf and res.passed
+        assert res.samples == 1_000_000
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_reduced_vector_is_the_inverse_form(self, case):
+        # cov(Y) = (C^-1 + 2D)^-1 on S, kappa = det(I + 2 D C)^(-1/2), with
+        # D = diag(1/s) on the bumps and 0 elsewhere
+        n = 12
+        c = covgen.generate(covgen.RandomSPD(n, seed=case, cond=50.0))
+        rng = np.random.default_rng(case)
+        fs = [verify.PolyGauss(0, float(rng.uniform(0.5, 4.0))) if rng.random() < 0.5
+              else FUNCTION_MIX[int(rng.integers(0, 3))] for _ in range(n)]
+        bumps = [j for j, f in enumerate(fs) if isinstance(f, verify.PolyGauss) and f.k == 0]
+        rest = [j for j in range(n) if j not in bumps]
+        d = np.zeros(n)
+        d[bumps] = [1.0 / fs[j].s for j in bumps]
+        log_kappa, y, got = verify._tilt(decouple.from_covariance(c), fs)
+        assert got == [fs[j] for j in rest]
+        tilted = np.linalg.inv(np.linalg.inv(c) + 2.0 * np.diag(d))[np.ix_(rest, rest)]
+        assert np.max(np.abs(y.c - tilted)) <= 1e-13 * np.max(np.abs(tilted))
+        f = y.cholesky_factor
+        assert np.array_equal(f, np.tril(f)) and np.all(np.diag(f) > 0.0)
+        assert np.max(np.abs(f @ f.T - y.c)) <= 1e-15 * np.max(np.abs(y.c))
+        _, logdet = np.linalg.slogdet(np.eye(n) + 2.0 * np.diag(d) @ c)
+        assert log_kappa == pytest.approx(-0.5 * logdet, rel=1e-13, abs=1e-14)
+
+    def test_without_a_bump_nothing_changes(self):
+        x, fs = oracle_vector(9, 1)
+        fs = [verify.PolyGauss(1, 3.0) if isinstance(f, verify.PolyGauss) else f for f in fs]
+        assert verify._tilt(x, fs) == (0.0, x, fs)
+        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=100_000, seed=5)
+        assert (res.lhs_estimate, res.lhs_stderr) == verify.mc_expectation(x, fs, 100_000, seed=5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n,case", [(2, 1), (9, 0), (26, 2)])
+    def test_lhs_is_kappa_times_the_reduced_estimate(self, monkeypatch, workers, n, case):
+        # bit for bit, whatever the worker count
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        x, fs = oracle_vector(n, case)
+        log_kappa, y, rest = verify._tilt(x, fs)
+        assert 0 < len(rest) < n and log_kappa < 0.0
+        p = 1.5 * top_breakpoint(x)
+        factorizations = []
+        cholesky = matcore.cholesky
+        monkeypatch.setattr(matcore, "cholesky", lambda a: factorizations.append(a) or cholesky(a))
+        res = verify.check_inequality(x, fs, p, samples=200_000, seed=n)
+        assert len(factorizations) == 1
+        mean, se = verify.mc_expectation(y, rest, 200_000, seed=n)
+        kappa = math.exp(log_kappa)
+        assert res.lhs_estimate == kappa * mean and res.lhs_stderr == kappa * se
+
+    @pytest.mark.parametrize("family", [covgen.AR1(6, 0.7), covgen.Equicorrelated(6, 0.5)])
+    @pytest.mark.parametrize("pattern", [
+        [verify.PolyGauss(0, 1.0), verify.Indicator(-0.5, math.inf), verify.PolyGauss(1, 2.0)],
+        [verify.Indicator(-1.0, 1.0), verify.PolyGauss(0, 3.0), verify.PolyGauss(0, 0.5)],
+        [verify.PolyGauss(2, 2.0), verify.PolyGauss(0, 2.0)],
+    ])
+    def test_tilted_and_plain_estimates_agree(self, family, pattern):
+        x = decouple.from_covariance(covgen.generate(family))
+        fs = [pattern[j % len(pattern)] for j in range(x.n)]
+        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=400_000, seed=11)
+        plain, se = verify.mc_expectation(x, fs, 400_000, seed=12)
+        assert res.lhs_stderr > 0.0
+        assert abs(res.lhs_estimate - plain) <= 4.0 * math.hypot(res.lhs_stderr, se)
+
+    @pytest.mark.parametrize("samples, seed, name", [
+        (100, 0, "samples"),
+        (20_000, -1, "seed"),
+        (20_000.5, 0, "samples"),
+    ])
+    def test_counts_checked_when_nothing_is_sampled(self, samples, seed, name):
+        fs = [verify.PolyGauss(0, 1.0)] * 2
+        with pytest.raises(InvalidParameter, match=name):
+            verify.check_inequality(EQUI, fs, 3.0, samples=samples, seed=seed)
+
+    def test_samples_reports_the_requested_count(self):
+        fs = [verify.PolyGauss(0, 1.0)] * 2
+        res = verify.check_inequality(EQUI, fs, 3.0, samples=1e5, seed=0)
+        assert res.samples == 100_000 and res.lhs_stderr == 0.0
 
 
 class TestStressProbeBNotPositiveDefinite:
