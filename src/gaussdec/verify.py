@@ -7,21 +7,21 @@ Pieces:
   through lgamma for PolyGauss, and log normal masses for indicators (erf
   for an interval that straddles 0, erfc tails otherwise), so that only
   log E / p is exponentiated;
-* seeded, chunked Monte Carlo estimation of E prod f_i(X_i) by sampling
-  x = L z with the Cholesky factor L of C and z from numpy's SFC64 bit
-  generator: the chunks run concurrently on a thread pool sized by the CPU
-  affinity mask, each one in blocks of MC_BLOCK rows drawn, multiplied and
-  evaluated in buffers the chunk allocates once.  Indicators fold into one
-  survival mask per block, and the other test functions are evaluated only
-  on the samples that survive it.  The estimate is bit-identical however
-  the chunks are run.  Versions of gaussdec that drew z from PCG64
-  (numpy's default_rng) gave other estimates for the same seed;
-* exact integration of the Gaussian bumps (PolyGauss with k = 0), whose
-  factors exp(-x^2 / s) are Gaussian kernels: one Cholesky factorization of
-  the covariance with s/2 added to the bumps' diagonal entries gives their
-  joint factor kappa in log space and the factor of the other coordinates
-  given the bumps, so the sampler draws only those (exponential tilting; Owen,
-  *Monte Carlo theory, methods and examples*, ch. 8-9);
+* seeded, chunked Monte Carlo estimation of E prod f_i(X_i).  The Gaussian
+  bumps (PolyGauss with k = 0), whose factors exp(-x^2 / s) are Gaussian
+  kernels, are integrated exactly: one Cholesky factorization of the
+  covariance with s/2 added to the bumps' diagonal entries gives their joint
+  factor kappa in log space and the factor L of the other coordinates given
+  the bumps (exponential tilting; Owen, *Monte Carlo theory, methods and
+  examples*, ch. 8-9).  Only those coordinates are sampled, as x = L z with
+  z from numpy's SFC64 bit generator: the chunks run concurrently on a
+  thread pool sized by the CPU affinity mask, each one in blocks of MC_BLOCK
+  rows drawn, multiplied and evaluated in buffers the chunk allocates once.
+  Indicators fold into one survival mask per block, and the other test
+  functions are evaluated only on the samples that survive it.  The
+  estimate is bit-identical however the chunks are run.  Versions of
+  gaussdec that drew z from PCG64 (numpy's default_rng) gave other estimates
+  for the same seed;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -218,12 +218,22 @@ def mc_expectation(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of prod_i f_i(X_i).
+    """Estimate and standard error of E prod_i f_i(X_i).
 
     ``samples`` (at least MIN_SAMPLES) and ``seed`` (at least 0) are read
     with ``as_int``, so 1e6 is a count and 1.5 is InvalidParameter.
 
-    Draws x = L z with L the Cholesky factor of C and z standard normal.
+    The Gaussian bumps (PolyGauss with k = 0) are integrated exactly
+    (``_tilt``): the estimate is kappa times the sample mean of the other
+    factors' product over the other coordinates given the bumps, and the
+    standard error is kappa times that of the sample mean.  With bumps alone
+    the estimate is kappa, with a standard error of 0, and nothing is drawn.
+    Without a bump kappa is 1 and every coordinate is sampled.  Versions of
+    gaussdec whose mc_expectation sampled the bumps gave other estimates for
+    the same (seed, samples) wherever a bump is present.
+
+    Draws x = L z with L the Cholesky factor of the sampled coordinates'
+    covariance and z standard normal.
     Reproducibility contract: the sample space is split into chunks of
     MC_CHUNK draws (last chunk smaller); chunk i draws its normals from
     numpy's SFC64 bit generator seeded with the i-th child of
@@ -243,18 +253,26 @@ def mc_expectation(
     evaluates its normals in blocks of MC_BLOCK rows, reusing one set of
     buffers, so memory is bounded by about
     workers x (2 MC_BLOCK n + MC_CHUNK + 3 MC_BLOCK) floats and
-    workers x 2 MC_BLOCK booleans whatever the sample count: the normals,
-    the samples, the chunk's products, a work row, a gathered row and a
-    product row for the samples that survive every indicator, and two mask
-    rows (see _chunk_sums).  An exception in a worker, or one raised in the
-    calling thread (an alarm, an interrupt), cancels the chunks not yet
-    started and stops the running ones at their next block, so the call
-    ends within about one block.
+    workers x 2 MC_BLOCK booleans, with n the sampled coordinates, whatever
+    the sample count: the normals, the samples, the chunk's products, a
+    work row, a gathered row and a product row for the samples that survive
+    every indicator, and two mask rows (see _chunk_sums).  An exception in a
+    worker, or one raised in the calling thread (an alarm, an interrupt),
+    cancels the chunks not yet started and stops the running ones at their
+    next block, so the call ends within about one block.
     """
-    samples, seed = _sample_counts(samples, seed)
+    samples = as_int(samples, "samples")
+    seed = as_int(seed, "seed")
+    if samples < MIN_SAMPLES:
+        raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if len(fs) != x.n:
         raise InvalidParameter(f"need {x.n} test functions, got {len(fs)}")
-    low = x.cholesky_factor
+    log_kappa, low, rest = _tilt(x, fs)
+    kappa = math.exp(log_kappa)
+    if not rest:
+        return kappa, 0.0
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
@@ -267,7 +285,7 @@ def mc_expectation(
     pool = ThreadPoolExecutor(workers)
     try:
         futures = [
-            pool.submit(_chunk_sums, low, fs, m, child, stop)
+            pool.submit(_chunk_sums, low, rest, m, child, stop)
             for m, child in zip(sizes, children)
         ]
         sums = [future.result() for future in futures]
@@ -298,19 +316,7 @@ def mc_expectation(
     for m, gap, (_, _, chunk_m2, exp) in zip(sizes, gaps, sums):
         m2 += math.ldexp(chunk_m2, 2 * (exp - scale)) + m * math.ldexp(gap, -scale) ** 2
     var = m2 / (samples - 1)
-    return mean, math.ldexp(math.sqrt(var / samples), scale)
-
-
-def _sample_counts(samples, seed) -> tuple[int, int]:
-    """``samples`` and ``seed`` read with ``as_int``; InvalidParameter unless
-    samples >= MIN_SAMPLES and seed >= 0."""
-    samples = as_int(samples, "samples")
-    seed = as_int(seed, "seed")
-    if samples < MIN_SAMPLES:
-        raise InvalidParameter(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    return samples, seed
+    return kappa * mean, kappa * math.ldexp(math.sqrt(var / samples), scale)
 
 
 def _cpu_count() -> int:
@@ -415,10 +421,10 @@ def _chunk_sums(
 
 def _tilt(
     x: decouple.GaussianVector, fs: list[TestFunction]
-) -> tuple[float, decouple.GaussianVector | None, list[TestFunction]]:
-    """(log kappa, Y, the test functions of Y) with
+) -> tuple[float, np.ndarray, list[TestFunction]]:
+    """(log kappa, F, the test functions of Y) with
 
-        E prod_i f_i(X_i) = kappa * E prod_{i in S} f_i(Y_i),
+        E prod_i f_i(X_i) = kappa * E prod_{i in S} f_i(Y_i),  cov(Y) = F F^T,
 
     where B holds the coordinates of the Gaussian bumps (PolyGauss with
     k = 0) and S the others, in their order.  A bump's factor
@@ -433,32 +439,27 @@ def _tilt(
     [C_SB, C_SS]] gives both: its leading block H has
     log kappa = sum_b log(sqrt(s_b/2) / H_bb), each term at most 0 up to
     rounding because A's pivots are no smaller than s_b/2, so that no sum of
-    large logs cancels; its trailing block is the Cholesky factor of cov(Y),
-    which Y carries without a second factorization.  With no bump this is
-    (0, x, fs); with bumps alone Y is None and the list is empty.
+    large logs cancels; its trailing block is F, with no second
+    factorization.  A is factored at a quarter scale (C/4 and s_B/8) and the
+    factor doubled: the scalings are exact powers of two, so the factor has
+    the bits of A's own wherever A/4 is a normal float, and no entry of A
+    overflows where C and s_B are finite.  With no bump this is
+    (0, x's Cholesky factor, fs); with bumps alone F is 0 x 0 and the list
+    is empty.
     """
     is_bump = [isinstance(f, PolyGauss) and f.k == 0 for f in fs]
     if not any(is_bump):
-        return 0.0, x, fs
+        return 0.0, x.cholesky_factor, fs
     bumps = [j for j, b in enumerate(is_bump) if b]
     rest = [j for j, b in enumerate(is_bump) if not b]
     nb = len(bumps)
     order = bumps + rest
-    a = x.c[np.ix_(order, order)]
-    half_s = np.array([fs[j].s for j in bumps]) / 2.0
-    a[np.arange(nb), np.arange(nb)] += half_s
-    low = matcore.cholesky(a)
-    log_kappa = float(np.sum(np.log(np.sqrt(half_s) / np.diag(low)[:nb])))
-    if not rest:
-        return log_kappa, None, []
-    factor = np.ascontiguousarray(low[nb:, nb:])
-    c = matcore.symmetrize(factor @ factor.T)
-    gamma = np.diag(c).copy()
-    sigma = np.sqrt(gamma)
-    for arr in (c, gamma, sigma, factor):
-        arr.setflags(write=False)
-    y = decouple.GaussianVector(c=c, gamma=gamma, sigma=sigma, cholesky_factor=factor)
-    return log_kappa, y, [fs[j] for j in rest]
+    a = x.c[np.ix_(order, order)] / 4.0
+    s = np.array([fs[j].s for j in bumps])
+    a[np.arange(nb), np.arange(nb)] += s / 8.0
+    low = 2.0 * matcore.cholesky(a)
+    log_kappa = float(np.sum(np.log(np.sqrt(s / 2.0) / np.diag(low)[:nb])))
+    return log_kappa, np.ascontiguousarray(low[nb:, nb:]), [fs[j] for j in rest]
 
 
 @dataclass(frozen=True)
@@ -495,13 +496,9 @@ def check_inequality(
 ) -> VerificationResult:
     """End-to-end test of E prod f_i(X_i) <= Q(X, p) * prod ||f_i(X_i)||_p.
 
-    The left side integrates the Gaussian bumps exactly (``_tilt``): it is
-    kappa times ``mc_expectation`` of the other functions on the reduced
-    vector, with ``samples`` and ``seed``, and kappa times its standard
-    error.  With bumps alone it is kappa, with a standard error of 0, and
-    nothing is drawn; ``samples`` and ``seed`` are checked all the same, and
-    ``samples`` reports the requested count.  Without a bump the estimate
-    has the bits of ``mc_expectation`` on X.
+    The left side and its standard error are ``mc_expectation`` with
+    ``samples`` and ``seed``, which integrates the Gaussian bumps exactly;
+    ``samples`` reports the requested count, also where nothing is drawn.
 
     ``constant="new"`` uses the region constant (p must be admissible with
     margin, else NotInRegion propagates).  ``constant="old"`` uses the
@@ -525,14 +522,7 @@ def check_inequality(
     rhs = q
     for f, sigma in zip(fs, x.sigma, strict=True):
         rhs *= marginal_pnorm(f, float(sigma), p)
-    samples, seed = _sample_counts(samples, seed)
-    log_kappa, y, rest = _tilt(x, fs)
-    kappa = math.exp(log_kappa)
-    if y is None:
-        lhs, stderr = kappa, 0.0
-    else:
-        mean, se = mc_expectation(y, rest, samples, seed)
-        lhs, stderr = kappa * mean, kappa * se
+    lhs, stderr = mc_expectation(x, fs, samples, seed)
     if stderr > 0.0:
         margin = (rhs - lhs) / stderr
     else:
@@ -542,7 +532,7 @@ def check_inequality(
         lhs_stderr=stderr,
         rhs_bound=float(rhs),
         margin_sigmas=margin,
-        samples=samples,
-        seed=seed,
+        samples=int(samples),
+        seed=int(seed),
         passed=bool(lhs <= rhs + 3.0 * stderr),
     )

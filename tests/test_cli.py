@@ -424,6 +424,21 @@ class TestNonFiniteResults:
         doc = json.loads(captured.out)
         assert math.isfinite(doc["lhs_estimate"]) and doc["passed"] is True
 
+    def test_gaussbump_near_the_float_limit_is_exact(self, tmp_path, capsys):
+        # C + s/2 is 2.4e308, beyond the float range; the bump is integrated
+        # at a quarter scale, with no overflow warning, to (1 + 2 C/s)^(-1/2)
+        cov = tmp_path / "big.json"
+        cov.write_text(json.dumps({"n": 1, "rows": [[1.5e308]]}))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "gaussbump", "s": 1.79e308}]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--input", str(cov), "--p", "1.1",
+                        "--functions", str(fns)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lhs_estimate"] == pytest.approx((1.0 + 2.0 * 1.5 / 1.79) ** -0.5, rel=1e-14)
+        assert doc["lhs_stderr"] == 0.0 and doc["passed"] is True
+
     def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--input", equi164_file, "--p", "200",
