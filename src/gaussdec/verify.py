@@ -13,15 +13,18 @@ Pieces:
   covariance with s/2 added to the bumps' diagonal entries gives their joint
   factor kappa in log space and the factor L of the other coordinates given
   the bumps (exponential tilting; Owen, *Monte Carlo theory, methods and
-  examples*, ch. 8-9).  Only those coordinates are sampled, as x = L z with
-  z from numpy's SFC64 bit generator: the chunks run concurrently on a
-  thread pool sized by the CPU affinity mask, each one in blocks of MC_BLOCK
-  rows drawn, multiplied and evaluated in buffers the chunk allocates once.
-  Indicators fold into one survival mask per block, and the other test
-  functions are evaluated only on the samples that survive it.  The
-  estimate is bit-identical however the chunks are run.  Versions of
-  gaussdec that drew z from PCG64 (numpy's default_rng) gave other estimates
-  for the same seed;
+  examples*, ch. 8-9).  Full-line indicators are left out, and the
+  indicator coordinates come first in L, most selective first.  Only those
+  coordinates are sampled, as x = L z with z from numpy's SFC64 bit
+  generator: the chunks run concurrently on a thread pool sized by the CPU
+  affinity mask, each one in blocks of rows drawn, multiplied and evaluated
+  in buffers the chunk allocates once.  Each indicator coordinate
+  is drawn only for the samples that every earlier indicator kept, and the
+  other coordinates and test functions only for the samples that survive
+  them all.  The estimate is bit-identical however the chunks are run.
+  Versions of gaussdec that drew z from PCG64 (numpy's default_rng), or
+  drew every coordinate of every sample, gave other estimates for the same
+  seed;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -45,8 +48,9 @@ INF = math.inf
 # Chunk size of the Monte Carlo sampler; part of the reproducibility
 # contract (see mc_expectation).
 MC_CHUNK = 65536
-# Rows a chunk draws and evaluates at a time; not part of the contract, it
-# bounds the sampler's memory (see mc_expectation).
+# Sizes a chunk's buffers: n x MC_BLOCK floats each, which bound the rows a
+# block draws and evaluates at a time; not part of the contract, it bounds
+# the sampler's memory (see mc_expectation and _chunk_sums).
 MC_BLOCK = 4096
 MIN_SAMPLES = 10_000
 
@@ -192,7 +196,8 @@ def marginal_pnorm(f: TestFunction, sigma: float, p: float) -> float:
     Either way only log E / p is exponentiated: a mass below the normal
     float range (an interval beyond about 37.5 sigma) keeps its norm, large
     q overflows no intermediate, and only a norm beyond the float range
-    raises OverflowError.
+    raises OverflowError.  log alpha is formed from logs too, since
+    p sigma^2 / s can leave the float range where the norm does not.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
@@ -202,11 +207,14 @@ def marginal_pnorm(f: TestFunction, sigma: float, p: float) -> float:
         log_moment = _log_normal_mass(f.a / sigma, f.b / sigma)
     else:
         q = f.k * p
-        scale = (0.5 + p * sigma * sigma / f.s) ** -0.5
+        # log alpha = logaddexp(log(1/2), log(p sigma^2 / s))
+        t = math.log(p) + 2.0 * math.log(sigma) - math.log(f.s)
+        half = -math.log(2.0)
+        log_alpha = max(t, half) + math.log1p(math.exp(-abs(t - half)))
         log_moment = (
-            math.log(scale)
+            -0.5 * log_alpha
             - 0.5 * math.log(2.0 * math.pi)
-            + q * math.log(sigma * scale)
+            + q * (math.log(sigma) - 0.5 * log_alpha)
             + math.lgamma((q + 1.0) / 2.0)
         )
     return math.exp(log_moment / p)
@@ -223,40 +231,53 @@ def mc_expectation(
     ``samples`` (at least MIN_SAMPLES) and ``seed`` (at least 0) are read
     with ``as_int``, so 1e6 is a count and 1.5 is InvalidParameter.
 
-    The Gaussian bumps (PolyGauss with k = 0) are integrated exactly
-    (``_tilt``): the estimate is kappa times the sample mean of the other
-    factors' product over the other coordinates given the bumps, and the
-    standard error is kappa times that of the sample mean.  With bumps alone
-    the estimate is kappa, with a standard error of 0, and nothing is drawn.
-    Without a bump kappa is 1 and every coordinate is sampled.  Versions of
-    gaussdec whose mc_expectation sampled the bumps gave other estimates for
-    the same (seed, samples) wherever a bump is present.
+    The Gaussian bumps (PolyGauss with k = 0) are integrated exactly and the
+    full-line indicators, the constant 1, are left out (``_tilt``): the
+    estimate is kappa times the sample mean of the other factors' product
+    over the other coordinates given the bumps, and the standard error is
+    kappa times that of the sample mean.  With nothing left to sample the
+    estimate is kappa (1 without a bump), with a standard error of 0, and
+    nothing is drawn.  Versions of gaussdec whose mc_expectation sampled the
+    bumps gave other estimates for the same (seed, samples) wherever a bump
+    is present.
 
     Draws x = L z with L the Cholesky factor of the sampled coordinates'
-    covariance and z standard normal.
+    covariance, the indicators first, and z standard normal.  Indicator
+    coordinates are drawn first, each only for the samples that every
+    earlier indicator kept; the other coordinates are drawn for the
+    survivors alone, and a dead sample's product is 0 (see _chunk_sums).
+    This is plain Monte Carlo, with the distribution and variance of
+    sampling every coordinate: it only draws no normals for samples that
+    are already 0.
     Reproducibility contract: the sample space is split into chunks of
-    MC_CHUNK draws (last chunk smaller); chunk i draws its normals from
-    numpy's SFC64 bit generator seeded with the i-th child of
-    SeedSequence(seed), and each chunk's sum and centred sum of squares are
-    merged in chunk order, so the estimate is bit-identical for a given
-    (seed, samples) no matter how the chunks are executed.  The generator
-    is part of the contract: versions that drew from PCG64 (numpy's
-    default_rng) gave other estimates for the same (seed, samples).  The
-    chunk sums and sums of squares are held at power-of-two scales (see
-    _chunk_sums), so neither the mean nor the standard error overflows, and
-    the standard error does not underflow to 0, while the products are
-    finite.
+    MC_CHUNK draws (last chunk smaller); chunk i draws from numpy's SFC64
+    bit generator seeded with the i-th child of SeedSequence(seed), the
+    indicator coordinate j of that chunk from its own SFC64 stream seeded
+    with the child's entropy and its spawn key with j appended, and each
+    chunk's sum and centred sum of squares are merged in chunk order, so the
+    estimate is bit-identical for a given (seed, samples) no matter how the
+    chunks are executed or how many rows a block holds.  The generator and
+    the layout are part of the contract: versions that drew from PCG64
+    (numpy's default_rng) gave other estimates for the same (seed, samples),
+    and versions that drew every coordinate of every sample from the
+    chunk's generator gave other estimates wherever an indicator is present
+    (a full-line one included, since leaving it out changes the draws of
+    the others).  The chunk sums and sums of squares are held at
+    power-of-two scales (see _chunk_sums), so neither the mean nor the
+    standard error overflows, and the standard error does not underflow to
+    0, while the products are finite.
 
     Execution: the chunks run concurrently on a thread pool with one worker
     per CPU in the process's affinity mask (never more than there are
     chunks), and their sums are merged in chunk order.  Each chunk draws and
-    evaluates its normals in blocks of MC_BLOCK rows, reusing one set of
+    evaluates its normals in blocks of rows, reusing one set of
     buffers, so memory is bounded by about
-    workers x (2 MC_BLOCK n + MC_CHUNK + 3 MC_BLOCK) floats and
-    workers x 2 MC_BLOCK booleans, with n the sampled coordinates, whatever
-    the sample count: the normals, the samples, the chunk's products, a
-    work row, a gathered row and a product row for the samples that survive
-    every indicator, and two mask rows (see _chunk_sums).  An exception in a
+    workers x (2 MC_BLOCK n + MC_CHUNK + 5 R) floats and workers x R
+    booleans, with n the sampled coordinates and R <= 4 MC_BLOCK the rows
+    of a block, whatever the sample count: two buffers of n x MC_BLOCK
+    floats, the chunk's products, a work row, a product row for the
+    survivors, three rows of sample positions and a mask row (see
+    _chunk_sums).  An exception in a
     worker, or one raised in the calling thread (an alarm, an interrupt),
     cancels the chunks not yet started and stops the running ones at their
     next block, so the call ends within about one block.
@@ -336,76 +357,129 @@ def _chunk_sums(
 ) -> tuple[float, int, float, int]:
     """The scaled sum sum(v) / 2^sum_exp, sum_exp, the scaled centred sum of
     squares sum((v - mean(v))^2) / 4^exp and exp over one chunk of m draws,
-    v = prod_i f_i(X_i); NaNs, abandoning the chunk, once ``stop`` is set by
-    a failed call.  2^sum_exp is the binary exponent of max |v|, and 2^exp
-    that of max |v - mean(v)| (either is 0 when what it measures is 0).
-    Scaling by a power of two is exact, so each scaled sum has the bits of
-    the unscaled one over its power of two wherever that one is a normal
-    float: every scaled term lies in (-1, 1), and the scaled sum of squares
-    in [1/4, m) for a nonconstant v, even where the unscaled sums would
-    overflow or underflow to 0.
+    v = prod_i f_i(X_i) with X = L z; NaNs, abandoning the chunk, once
+    ``stop`` is set by a failed call.  2^sum_exp is the binary exponent of
+    max |v|, and 2^exp that of max |v - mean(v)| (either is 0 when what it
+    measures is 0).  Scaling by a power of two is exact, so each scaled sum
+    has the bits of the unscaled one over its power of two wherever that one
+    is a normal float: every scaled term lies in (-1, 1), and the scaled sum
+    of squares in [1/4, m) for a nonconstant v, even where the unscaled sums
+    would overflow or underflow to 0.
 
-    The normals come from numpy's SFC64 bit generator seeded with the
-    chunk's SeedSequence child.  The chunk allocates its buffers once and
-    reuses them for every block of MC_BLOCK rows: the normals are drawn into
-    z by consecutive standard_normal calls, which consume the stream exactly
-    as one (m, n) call does, and one matmul of one shape lands x = L z^T as
-    n contiguous rows with the bits of the whole-chunk product; a last,
-    shorter block's unused columns are computed and ignored.
+    ``fs`` lists the indicators first, as ``_tilt`` orders them, and L is
+    lower triangular, so X_j for an indicator j depends on z_0..z_j alone.
+    The chunk runs in blocks of rows and draws in two phases:
 
-    Each block first folds the ``inside`` masks of every Indicator into one
-    survival mask.  The other factors (PolyGauss, and any object that is not
-    an Indicator) are then evaluated in their order on the survivors alone:
-    each row is gathered by ``np.take`` into one buffer, every f_i writes
-    into one work row, and the survivors' products, formed in one more row,
-    are scattered back with 0 at every dead sample.  A block where no sample
-    died reads x's rows in place.  An indicator factor is exactly 0 or 1, so
-    every product has the bits of ((1 * f_1) * f_2) * ... of the whole-chunk
-    evaluation, except that a dead sample gives 0, the product's true value,
-    also where another factor is inf (0 * inf is NaN).
+    * indicator j draws z_j only for the samples that every earlier
+      indicator kept, from its own SFC64 stream seeded with
+      SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (j,)), forms
+      X_j = sum_{i <= j} L_ji z_i by one multiply and one add.reduce over
+      the coordinate axis (a sum in coordinate order, whatever the number of
+      samples), and compacts the survivors' normals z_0..z_j and their
+      positions, unless every sample survived;
+    * the survivors then draw their other coordinates from the chunk's own
+      SFC64 stream, sample by sample, in tiles of columns, and one matmul of
+      one shape per tile, (n - k) x n by n x tile, lands those coordinates
+      of L z; a last tile's columns past the survivors are zeros, computed
+      and ignored.
+
+    Each stream is consumed in sample order and consecutive standard_normal
+    calls consume it as one call does, so neither the block size nor the
+    number of survivors per block moves a bit; a tile is a whole number of
+    16 columns, because BLAS computes a trailing partial group of columns
+    with other kernels, in other bits.  The other factors are then
+    evaluated in their order on the survivors alone, every f_i into one work
+    row and their product into one more, and scattered back with 0 at every
+    dead sample: the product's true value, also where another factor is inf
+    (0 * inf is NaN).  A block with no survivor draws nothing more.
+
+    Memory: the chunk allocates its buffers once, two of n x MC_BLOCK floats
+    that swap roles at each compaction (the survivors' normals, packed
+    coordinate-major, and the products L_ji z_i or the compacted normals;
+    in the second phase the packed normals and the matmul's operand and
+    result, half a buffer each), two rows, a mask row and three rows of
+    positions.  A block holds at most 4 MC_BLOCK rows and at most
+    n MC_BLOCK / k, so that its packed normals fit in one buffer; a larger
+    block spreads each numpy call's fixed cost over more samples.
     """
-    rng = np.random.Generator(np.random.SFC64(seed))
     n = low.shape[0]
-    indicators = [(j, f) for j, f in enumerate(fs) if isinstance(f, Indicator)]
-    factors = [(j, f) for j, f in enumerate(fs) if not isinstance(f, Indicator)]
+    k = sum(isinstance(f, Indicator) for f in fs)
+    rng = np.random.Generator(np.random.SFC64(seed))
+    streams = [
+        np.random.Generator(
+            np.random.SFC64(
+                np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (j,))
+            )
+        )
+        for j in range(k)
+    ]
+    other = low[k:]
+    size = n * MC_BLOCK
+    rows = min(4 * MC_BLOCK, size // max(k, 1))
+    tile = MC_BLOCK // 32 * 16
     vals = np.empty(m)
-    z = np.zeros((MC_BLOCK, n))  # unused rows of a short chunk: zeros, never NaN or inf
-    x = np.empty((n, MC_BLOCK))
-    work = np.empty(MC_BLOCK)
-    gathered = np.empty(MC_BLOCK)
-    live = np.empty(MC_BLOCK)
-    alive = np.empty(MC_BLOCK, dtype=bool)
-    inside = np.empty(MC_BLOCK, dtype=bool)
-    for start in range(0, m, MC_BLOCK):
+    z = np.zeros(size)
+    spare = np.zeros(size)
+    work = np.empty(rows)
+    live = np.empty(rows)
+    inside = np.empty(rows, dtype=bool)
+    index = np.arange(rows)
+    pos = np.empty(rows, dtype=index.dtype)
+    pos_spare = np.empty(rows, dtype=index.dtype)
+    for start in range(0, m, rows):
         if stop.is_set():
             return math.nan, 0, math.nan, 0
-        rows = min(MC_BLOCK, m - start)
-        rng.standard_normal(out=z[:rows])
-        np.matmul(low, z.T, out=x)
-        prod = vals[start : start + rows]
-        kept = None
-        if indicators:
-            survive = alive[:rows]
-            survive.fill(True)
-            for j, f in indicators:
-                survive &= f.inside(x[j, :rows], inside[:rows])
-            kept = np.flatnonzero(survive)
-            if kept.size == rows:  # no sample died: read x's rows in place
-                kept = None
-        if kept is None:
-            prod.fill(1.0)
-            for j, f in factors:
-                prod *= f.evaluate(x[j, :rows], work[:rows])
-        else:
-            width = kept.size
-            live[:width] = 1.0
-            for j, f in factors:
+        block = min(rows, m - start)
+        alive = block
+        pos[:block] = index[:block]
+        for j in range(k):
+            # z holds the survivors' normals z_0..z_j as a (j + 1) x alive
+            # array, coordinate-major
+            streams[j].standard_normal(out=z[j * alive : (j + 1) * alive])
+            normals = z[: (j + 1) * alive].reshape(j + 1, alive)
+            # add.reduce sums a single column pairwise: one survivor is
+            # summed beside a column of zeros
+            width = max(alive, 2)
+            terms = spare[: (j + 1) * width].reshape(j + 1, width)
+            if alive == 1:
+                terms[:, 1] = 0.0
+            np.multiply(low[j, : j + 1, None], normals, out=terms[:, :alive])
+            x_j = np.add.reduce(terms, axis=0, out=work[:width])[:alive]
+            kept = np.flatnonzero(fs[j].inside(x_j, inside[:alive]))
+            if kept.size < alive:
                 # every index is in range, so mode="clip" changes nothing
                 # but spares numpy's buffered copy for mode="raise"
-                row = np.take(x[j], kept, out=gathered[:width], mode="clip")
-                live[:width] *= f.evaluate(row, work[:width])
+                out = spare[: (j + 1) * kept.size].reshape(j + 1, kept.size)
+                np.take(normals, kept, axis=1, out=out, mode="clip")
+                np.take(pos[:alive], kept, out=pos_spare[: kept.size], mode="clip")
+                z, spare = spare, z
+                pos, pos_spare = pos_spare, pos
+                alive = kept.size
+                if not alive:
+                    break
+        prod = vals[start : start + block]
+        if not alive:
             prod.fill(0.0)
-            prod[kept] = live[:width]
+            continue
+        product = prod if alive == block else live[:alive]
+        product.fill(1.0)
+        if k < n:
+            packed = z[: k * alive].reshape(k, alive)
+            full = spare[: n * tile].reshape(n, tile)
+            x = spare[n * tile : (2 * n - k) * tile].reshape(n - k, tile)
+            for t in range(0, alive, tile):
+                cols = min(tile, alive - t)
+                draws = x.reshape(-1)[: cols * (n - k)].reshape(cols, n - k)
+                rng.standard_normal(out=draws)
+                full[:k, :cols] = packed[:, t : t + cols]
+                full[k:, :cols] = draws.T
+                full[:, cols:] = 0.0
+                np.matmul(other, full, out=x)
+                for r, f in enumerate(fs[k:]):
+                    product[t : t + cols] *= f.evaluate(x[r, :cols], work[:cols])
+        if alive < block:
+            prod.fill(0.0)
+            prod[pos[:alive]] = product
     # the deviations are taken at the sum's scale, which moves their own
     # exponent by sum_exp and leaves their bits
     sum_exp = math.frexp(max(float(np.max(vals)), -float(np.min(vals))))[1]
@@ -427,7 +501,13 @@ def _tilt(
         E prod_i f_i(X_i) = kappa * E prod_{i in S} f_i(Y_i),  cov(Y) = F F^T,
 
     where B holds the coordinates of the Gaussian bumps (PolyGauss with
-    k = 0) and S the others, in their order.  A bump's factor
+    k = 0) and S the others, less the full-line indicators, which are the
+    constant 1: a marginal of a Gaussian vector has the sub-covariance.  S
+    lists the indicators first, most selective first (ascending log mass
+    ``_log_normal_mass(a/sigma, b/sigma)`` of X's own marginal, ties in
+    input order), then the other factors in input order; ``_chunk_sums``
+    draws the indicator coordinates first, and the variable ordering is
+    Genz's (*J. Comput. Graph. Stat.* 1, 1992).  A bump's factor
     exp(-x^2 / s) is the density of N(0, s/2) at x up to sqrt(pi s), so with
     W_B ~ N(0, diag(s_B)/2) independent of X,
 
@@ -436,30 +516,37 @@ def _tilt(
             cov(Y) = C_SS - C_SB (C_BB + diag(s_B)/2)^(-1) C_BS.
 
     One Cholesky factorization of A = [[C_BB + diag(s_B)/2, C_BS],
-    [C_SB, C_SS]] gives both: its leading block H has
+    [C_SB, C_SS]], with S in its order, gives both: its leading block H has
     log kappa = sum_b log(sqrt(s_b/2) / H_bb), each term at most 0 up to
     rounding because A's pivots are no smaller than s_b/2, so that no sum of
     large logs cancels; its trailing block is F, with no second
     factorization.  A is factored at a quarter scale (C/4 and s_B/8) and the
     factor doubled: the scalings are exact powers of two, so the factor has
     the bits of A's own wherever A/4 is a normal float, and no entry of A
-    overflows where C and s_B are finite.  With no bump this is
-    (0, x's Cholesky factor, fs); with bumps alone F is 0 x 0 and the list
-    is empty.
+    overflows where C and s_B are finite.  Where that order is the input
+    order (no bump, no full line, the indicators leading by ascending mass)
+    this is (0, x's Cholesky factor, fs); with nothing left to sample F is
+    0 x 0 and the list is empty.
     """
     is_bump = [isinstance(f, PolyGauss) and f.k == 0 for f in fs]
-    if not any(is_bump):
-        return 0.0, x.cholesky_factor, fs
     bumps = [j for j, b in enumerate(is_bump) if b]
-    rest = [j for j, b in enumerate(is_bump) if not b]
+    indicators = sorted(
+        (j for j, f in enumerate(fs) if isinstance(f, Indicator) and (f.a, f.b) != (-INF, INF)),
+        key=lambda j: _log_normal_mass(fs[j].a / x.sigma[j], fs[j].b / x.sigma[j]),
+    )
+    others = [j for j, f in enumerate(fs) if not (is_bump[j] or isinstance(f, Indicator))]
+    order = bumps + indicators + others
+    if not bumps and order == list(range(x.n)):
+        return 0.0, x.cholesky_factor, fs
+    if not order:
+        return 0.0, np.zeros((0, 0)), []
     nb = len(bumps)
-    order = bumps + rest
     a = x.c[np.ix_(order, order)] / 4.0
     s = np.array([fs[j].s for j in bumps])
     a[np.arange(nb), np.arange(nb)] += s / 8.0
     low = 2.0 * matcore.cholesky(a)
     log_kappa = float(np.sum(np.log(np.sqrt(s / 2.0) / np.diag(low)[:nb])))
-    return log_kappa, np.ascontiguousarray(low[nb:, nb:]), [fs[j] for j in rest]
+    return log_kappa, np.ascontiguousarray(low[nb:, nb:]), [fs[j] for j in order[nb:]]
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,22 @@ class TestNonFiniteResults:
         assert doc["lhs_estimate"] == pytest.approx((1.0 + 2.0 * 1.5 / 1.79) ** -0.5, rel=1e-14)
         assert doc["lhs_stderr"] == 0.0 and doc["passed"] is True
 
+    def test_gaussbump_norm_where_p_sigma2_overflows(self, tmp_path, capsys):
+        # p sigma^2 = 3e308 leaves the float range, the marginal norm
+        # (1 + 2 p sigma^2 / s)^(-1/(2p)) = 7^(-1/4) does not
+        cov = tmp_path / "big.json"
+        cov.write_text(json.dumps({"n": 1, "rows": [[1.5e308]]}))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "gaussbump", "s": 1e308}]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--input", str(cov), "--p", "2",
+                        "--functions", str(fns)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        q = decouple.q_new(decouple.from_covariance([[1.5e308]]), 2.0)
+        assert doc["rhs_bound"] == pytest.approx(q * 7.0**-0.25, rel=1e-14)
+        assert doc["lhs_estimate"] == pytest.approx(0.5, rel=1e-14) and doc["passed"] is True
+
     def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--input", equi164_file, "--p", "200",

@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
@@ -32,9 +32,18 @@ def float_bits(a):
 
 
 def sequential_chunk_values(x, fs, samples, seed):
-    """The products v = prod_i f_i(X_i) of each chunk, drawn by one sequential
-    loop over whole chunks."""
-    low = x.cholesky_factor
+    """The products v = prod_i f_i(Y_i) of each chunk, on the vector Y and
+    the functions that _tilt leaves, drawn by one sequential loop over whole
+    chunks.  Indicator j draws its normal only for the samples that every
+    earlier indicator kept, in sample order, from the stream whose spawn key
+    is the chunk's with j appended, and Y_j is sum_i L_ji z_i summed in
+    coordinate order.  The survivors then draw their other normals from the
+    chunk's own stream, sample by sample, and get those coordinates from one
+    product with L.  A dead sample's product is 0, and no factor is
+    evaluated on it."""
+    _, low, fs = verify._tilt(x, fs)
+    n = low.shape[0]
+    k = sum(isinstance(f, verify.Indicator) for f in fs)
     n_chunks = (samples + verify.MC_CHUNK - 1) // verify.MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     out = []
@@ -42,22 +51,44 @@ def sequential_chunk_values(x, fs, samples, seed):
     for child in children:
         m = min(verify.MC_CHUNK, left)
         left -= m
+        # a chunk's columns whatever the survivors: BLAS may take another
+        # path for a product of one column
+        z = np.zeros((n, verify.MC_CHUNK))
+        alive = np.arange(m)
+        for j in range(k):
+            key = child.spawn_key + (j,)
+            stream = np.random.Generator(np.random.SFC64(np.random.SeedSequence(child.entropy, spawn_key=key)))
+            z[j, alive] = stream.standard_normal(alive.size)
+            y = low[j, 0] * z[0, alive]
+            for i in range(1, j + 1):
+                y = y + low[j, i] * z[i, alive]
+            alive = alive[fs[j].inside(y, np.empty(y.size, dtype=bool))]
+        w = alive.size
         rng = np.random.Generator(np.random.SFC64(child))
-        z = rng.standard_normal((m, x.n))
-        xs = z @ low.T
-        vals = np.ones(m)
-        for j, f in enumerate(fs):
-            vals *= f.evaluate(xs[:, j])
+        zs = np.zeros((n, verify.MC_CHUNK))
+        zs[:k, :w] = z[:k, alive]
+        zs[k:, :w] = rng.standard_normal((w, n - k)).T
+        xs = low[k:] @ zs
+        vals = np.zeros(m)
+        if w:
+            v = np.ones(w)
+            for r, f in enumerate(fs[k:]):
+                v *= f.evaluate(xs[r, :w])
+            vals[alive] = v
         out.append(vals)
     return out
 
 
 def sequential_mc_expectation(x, fs, samples, seed):
     """The sampler as one sequential loop over whole chunks: the reference
-    that the concurrent, row-blocked sampler must match bit for bit.  Each
-    chunk gives its sum and centred sum of squares, merged as Chan, Golub and
-    LeVeque do."""
+    that the concurrent, row-blocked sampler must match bit for bit, on the
+    vector that _tilt leaves (without kappa).  Each chunk gives its sum and
+    centred sum of squares, merged as Chan, Golub and LeVeque do, at the
+    power-of-two scale of the largest product, so that squares of tiny
+    products do not underflow (the scaling is exact)."""
     chunks = sequential_chunk_values(x, fs, samples, seed)
+    scale = math.frexp(max(float(np.max(np.abs(vals))) for vals in chunks))[1]
+    chunks = [np.ldexp(vals, -scale) for vals in chunks]
     total = 0.0
     for vals in chunks:
         total += float(np.sum(vals))
@@ -68,7 +99,7 @@ def sequential_mc_expectation(x, fs, samples, seed):
         dev = vals - chunk_sum / vals.size
         m2 += float(np.sum(dev * dev)) + vals.size * (chunk_sum / vals.size - mean) ** 2
     var = m2 / (samples - 1)
-    return mean, math.sqrt(var / samples)
+    return math.ldexp(mean, scale), math.ldexp(math.sqrt(var / samples), scale)
 
 
 @dataclass(frozen=True)
@@ -425,6 +456,29 @@ class TestMarginalPnorm:
         # 0.0 for a norm of 1e-117
         assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("k,s,sigma,p", [
+        # p sigma^2 is 3e308, beyond the float range; the 2-norms are
+        # 7^(-1/4) and about 0.38
+        (0, 1e308, math.sqrt(1.5e308), 2.0),
+        (2, 1e308, math.sqrt(1.5e308), 2.0),
+        # sigma / sqrt(s) overflows and p sigma^2 / s is about 3e600; the
+        # 3-norm is about 1e-250
+        (1, 1e-300, 1e150, 3.0),
+        # p sigma^2 / s is about 2e-600, so alpha is 1/2 and the norm 1
+        (0, 1e300, 1e-150, 2.0),
+    ])
+    def test_polygauss_where_p_sigma2_over_s_leaves_the_float_range(self, k, s, sigma, p):
+        with mpmath.workdps(30):
+            q = mpmath.mpf(k) * p
+            alpha = mpmath.mpf(0.5) + p * mpmath.mpf(sigma) ** 2 / mpmath.mpf(s)
+            moment = (mpmath.mpf(sigma) ** q * mpmath.gamma((q + 1) / 2)
+                      * alpha ** (-(q + 1) / 2) / mpmath.sqrt(2 * mpmath.pi))
+            expected = float(moment ** (1 / mpmath.mpf(p)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = verify.marginal_pnorm(verify.PolyGauss(k, s), sigma, p)
+        assert val == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     def test_full_line_is_exactly_one(self):
         for sigma, p in ((1.0, 1.0), (2.0, 3.0), (0.3, 10.0)):
             assert verify.marginal_pnorm(verify.Indicator(-math.inf, math.inf), sigma, p) == 1.0
@@ -534,18 +588,80 @@ class TestMCExpectation:
         # X_1 = 999.9 X_2 + 14.1 Z: the indicator on X_2 kills every sample
         # whose polygauss value overflows (|X_1| above about 1209), and its
         # survivors stay finite.  A dead sample's product is 0, its true
-        # value, where the plain product 0 * inf is NaN.
+        # value, where the plain product 0 * inf is NaN; the polygauss is
+        # never evaluated on a dead sample, so nothing overflows.
         x = decouple.from_covariance([[1e6, 999.9], [999.9, 1.0]])
         fs = [verify.PolyGauss(100, 1e9), verify.Indicator(-0.01, 0.01)]
-        mean, se = verify.mc_expectation(x, fs, 200_000, seed=0)
+        xs = np.random.default_rng(0).standard_normal((200_000, 2)) @ x.cholesky_factor.T
         with np.errstate(over="ignore", invalid="ignore"):
+            plain_product = fs[0].evaluate(xs[:, 0]) * fs[1].evaluate(xs[:, 1])
+        assert np.isnan(plain_product).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = verify.mc_expectation(x, fs, 200_000, seed=0)
             chunks = sequential_chunk_values(x, fs, 200_000, seed=0)
-        assert all(np.isnan(vals).any() for vals in chunks)
+        assert all(np.isfinite(vals).all() for vals in chunks)
         total = 0.0
         for vals in chunks:
-            total += float(np.sum(np.where(np.isnan(vals), 0.0, vals)))
+            total += float(np.sum(vals))
         assert mean == total / 200_000 and mean > 0.0
         assert 0.0 < se < math.inf
+
+    @pytest.mark.parametrize("dropped", [[0], [3], [1, 4]])
+    def test_full_line_is_left_out(self, dropped):
+        # Indicator(-inf, inf) is the constant 1, so its coordinate is left
+        # out of the sample: bit for bit, the estimate on the vector with
+        # that coordinate deleted
+        c = covgen.generate(covgen.RandomSPD(6, seed=4, cond=20.0))
+        fs = [verify.Indicator(-0.5, math.inf), verify.PolyGauss(1, 3.0), verify.Indicator(-1.0, 1.0),
+              verify.PolyGauss(0, 2.0), verify.Indicator(-math.inf, 0.8), verify.PolyGauss(2, 1.5)]
+        kept = [j for j in range(6) if j not in dropped]
+        full = [verify.Indicator(-math.inf, math.inf) if j in dropped else f for j, f in enumerate(fs)]
+        deleted = decouple.from_covariance(c[np.ix_(kept, kept)])
+        for g in (fs, plain(fs)):
+            got = verify.mc_expectation(
+                decouple.from_covariance(c),
+                [full[j] if j in dropped else g[j] for j in range(6)], 100_000, seed=8,
+            )
+            assert got == verify.mc_expectation(deleted, [g[j] for j in kept], 100_000, seed=8)
+
+    def test_only_full_lines_draw_nothing(self, monkeypatch):
+        # nothing left to sample: 1 with a standard error of 0, once the
+        # counts are checked
+        def no_chunks(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(verify, "_chunk_sums", no_chunks)
+        fs = [verify.Indicator(-math.inf, math.inf)] * 2
+        assert verify.mc_expectation(EQUI, fs, 20_000, seed=0) == (1.0, 0.0)
+        with pytest.raises(InvalidParameter, match="samples"):
+            verify.mc_expectation(EQUI, fs, 100, seed=0)
+        with pytest.raises(InvalidParameter, match="seed"):
+            verify.mc_expectation(EQUI, fs, 20_000, seed=-1)
+
+    def test_equicorrelated_orthant(self):
+        # P(X_i > 0 for all i) = 1/(n+1) at correlation 1/2: most samples
+        # die at one of the twelve indicators
+        x = decouple.from_covariance(covgen.generate(covgen.Equicorrelated(12, 0.5)))
+        est, se = verify.mc_expectation(x, [HALF_LINE] * 12, 400_000, seed=13)
+        assert abs(est - 1.0 / 13.0) <= 4.0 * se
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_permuting_the_coordinates(self, seed):
+        # the same expectation, drawn in another order: the estimates agree
+        # within 4 sigma
+        n = 10
+        c = covgen.generate(covgen.RandomSPD(n, seed=seed, cond=30.0))
+        pattern = [verify.Indicator(-0.3, math.inf), verify.PolyGauss(1, 2.0),
+                   verify.Indicator(-1.2, 0.9), verify.Indicator(-math.inf, 1.1), verify.PolyGauss(0, 3.0)]
+        fs = [pattern[j % len(pattern)] for j in range(n)]
+        perm = np.random.default_rng(seed).permutation(n)
+        est, se = verify.mc_expectation(decouple.from_covariance(c), fs, 200_000, seed=seed)
+        moved, moved_se = verify.mc_expectation(
+            decouple.from_covariance(c[np.ix_(perm, perm)]), [fs[j] for j in perm], 200_000, seed=seed
+        )
+        assert se > 0.0 and moved_se > 0.0
+        assert abs(est - moved) <= 4.0 * math.hypot(se, moved_se)
 
     def test_sample_floor(self):
         with pytest.raises(InvalidParameter):
@@ -633,9 +749,10 @@ def _cycle(pattern):
 
 TAIL = verify.Indicator(0.3, math.inf)
 # Function lists for test_bits on AR1(n, 0.5), whose variances are 1: the
-# sampler folds the indicators into a survival mask and evaluates the other
-# factors on the survivors alone, so neither where the indicators stand in
-# the list nor how many samples survive them may move a bit.
+# sampler draws the indicator coordinates first, each only for the samples
+# still alive, and the other coordinates and factors for the survivors
+# alone, so neither the block size nor how many samples survive may move a
+# bit.
 NAMED_LISTS = {
     "indicators-first": lambda n: [TAIL] * (n // 2) + _cycle(FUNCTION_MIX[1:])(n - n // 2),
     "indicators-last": lambda n: _cycle(FUNCTION_MIX[1:])(n - n // 2) + [TAIL] * (n // 2),
@@ -643,8 +760,10 @@ NAMED_LISTS = {
                           + FUNCTION_MIX[1:]),
     "only-indicators": _cycle([TAIL, verify.Indicator(-0.5, math.inf), verify.Indicator(-1.0, 1.0)]),
     "no-indicators": _cycle(FUNCTION_MIX[1:] + [verify.PolyGauss(2, 1.0)]),
-    # no sample dies, so every block reads x's rows in place
+    # the constant 1: nothing is drawn
     "full-line": _cycle([verify.Indicator(-math.inf, math.inf)]),
+    # full lines left out between the others
+    "full-line-mix": _cycle([verify.Indicator(-math.inf, math.inf), TAIL, verify.PolyGauss(2, 3.0)]),
     # every sample dies in every block: P(X > 8) is about 6e-16
     "all-die": lambda n: [verify.Indicator(8.0, math.inf)] + _cycle(FUNCTION_MIX[1:])(n - 1),
     # about one survivor in 740, so many blocks of 1000 rows have none
@@ -664,6 +783,17 @@ class Recorder:
     def evaluate(self, x, out=None):
         self.rows.append(x.copy())
         return np.ones(np.shape(x))
+
+
+@dataclass(frozen=True)
+class RecordingIndicator(verify.Indicator):
+    """An indicator that keeps a copy of every row its mask is taken on."""
+
+    rows: list = field(default_factory=list, compare=False)
+
+    def inside(self, x, out):
+        self.rows.append(x.copy())
+        return super().inside(x, out)
 
 
 class TestSamplerMatchesSequentialLoop:
@@ -708,18 +838,22 @@ class TestSamplerMatchesSequentialLoop:
 
     @pytest.mark.parametrize("samples", [verify.MIN_SAMPLES + 7, verify.MC_CHUNK + 1815])
     def test_factors_after_an_indicator_see_only_its_survivors(self, monkeypatch, samples):
-        # HALF_LINE kills about half the samples; the Recorder after it is
-        # handed the survivors alone, with the bits of the whole-chunk
-        # product at their positions, and the estimate keeps its bits
+        # the half line kills about half the samples; its mask is taken on
+        # every sample, and the Recorder after it is handed the survivors
+        # alone, with the bits of the whole-chunk loop, and the estimate
+        # keeps its bits
         monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-        got = Recorder()
-        verify.mc_expectation(EQUI, [HALF_LINE, got], samples, seed=6)
-        whole = [Recorder(), Recorder()]
+        got = [RecordingIndicator(0.0, math.inf), Recorder()]
+        verify.mc_expectation(EQUI, got, samples, seed=6)
+        whole = [RecordingIndicator(0.0, math.inf), Recorder()]
         sequential_chunk_values(EQUI, whole, samples, seed=6)
-        first, second = (np.concatenate(r.rows) for r in whole)
-        kept = second[first > 0.0]
-        assert 0.4 < kept.size / samples < 0.6
-        assert np.array_equal(float_bits(np.concatenate(got.rows)), float_bits(kept))
+        (first, second), (whole_first, whole_second) = (
+            [np.concatenate(f.rows) for f in fs] for fs in (got, whole)
+        )
+        assert first.size == samples and second.size == np.count_nonzero(first > 0.0)
+        assert 0.4 < second.size / samples < 0.6
+        assert np.array_equal(float_bits(first), float_bits(whole_first))
+        assert np.array_equal(float_bits(second), float_bits(whole_second))
         fs = [HALF_LINE, Recorder()]
         assert verify.mc_expectation(EQUI, fs, samples, seed=6) == sequential_mc_expectation(
             EQUI, fs, samples, seed=6
@@ -741,6 +875,23 @@ class TestSamplerMatchesSequentialLoop:
         expected = [Recorder() for _ in range(n)]
         verify.mc_expectation(x, got, samples, seed=4)
         sequential_chunk_values(x, expected, samples, seed=4)
+        for g, e in zip(got, expected):
+            assert np.array_equal(float_bits(np.concatenate(g.rows)), float_bits(np.concatenate(e.rows)))
+
+
+    @pytest.mark.parametrize("block", [1000, 10007])
+    def test_trailing_columns_of_a_tile(self, monkeypatch, block):
+        # BLAS computes the columns of a last partial group of 16 with
+        # other kernels and, at n = 26, other bits; every sample is kept,
+        # so the tiles' last columns are all read
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(verify, "MC_BLOCK", block)
+        n = 26
+        x = decouple.from_covariance(covgen.generate(covgen.RandomSPD(n, seed=n, cond=20.0)))
+        got = [Recorder() for _ in range(n)]
+        expected = [Recorder() for _ in range(n)]
+        verify.mc_expectation(x, got, verify.MC_CHUNK, seed=3)
+        sequential_chunk_values(x, expected, verify.MC_CHUNK, seed=3)
         for g, e in zip(got, expected):
             assert np.array_equal(float_bits(np.concatenate(g.rows)), float_bits(np.concatenate(e.rows)))
 
@@ -850,7 +1001,12 @@ class TestGaussbumpTilt:
         fs = [verify.PolyGauss(0, float(rng.uniform(0.5, 4.0))) if rng.random() < 0.5
               else FUNCTION_MIX[int(rng.integers(0, 3))] for _ in range(n)]
         bumps = [j for j, f in enumerate(fs) if isinstance(f, verify.PolyGauss) and f.k == 0]
-        rest = [j for j in range(n) if j not in bumps]
+        # the indicators first, by ascending mass P(a < X_j < b), ties in
+        # input order, then the others in input order
+        sigma = np.sqrt(np.diag(c))
+        mass = {j: 0.5 * math.erfc(fs[j].a / (sigma[j] * math.sqrt(2.0)))
+                for j in range(n) if isinstance(fs[j], verify.Indicator)}
+        rest = sorted(mass, key=mass.get) + [j for j in range(n) if j not in bumps and j not in mass]
         d = np.zeros(n)
         d[bumps] = [1.0 / fs[j].s for j in bumps]
         log_kappa, f, got = verify._tilt(decouple.from_covariance(c), fs)
@@ -862,9 +1018,34 @@ class TestGaussbumpTilt:
         _, logdet = np.linalg.slogdet(np.eye(n) + 2.0 * np.diag(d) @ c)
         assert log_kappa == pytest.approx(-0.5 * logdet, rel=1e-13, abs=1e-14)
 
+    def test_indicators_lead_by_ascending_mass(self):
+        # masses 0.16, 0.38, 0.5 and 0.5 (a tie, kept in input order), the
+        # full line left out, the bump first and the polygauss last; X's own
+        # variances set each mass
+        c = np.diag([1.0, 3.0, 4.0, 1.0, 9.0, 1.0, 2.0])
+        c[0, 3] = c[3, 0] = 0.4
+        c[2, 5] = c[5, 2] = -0.7
+        fs = [verify.Indicator(0.0, math.inf), verify.PolyGauss(1, 2.0), verify.Indicator(-1.0, 1.0),
+              verify.Indicator(-math.inf, 0.0), verify.Indicator(-math.inf, math.inf),
+              verify.Indicator(1.0, math.inf), verify.PolyGauss(0, 1.5)]
+        x = decouple.from_covariance(c)
+        order = [6, 5, 2, 0, 3, 1]
+        log_kappa, factor, rest = verify._tilt(x, fs)
+        assert rest == [fs[j] for j in order[1:]]
+        a = c[np.ix_(order, order)].copy()
+        a[0, 0] += 1.5 / 2.0
+        low = np.linalg.cholesky(a)
+        assert np.allclose(factor, low[1:, 1:], rtol=1e-14, atol=1e-15)
+        assert log_kappa == pytest.approx(math.log(math.sqrt(0.75) / low[0, 0]), rel=1e-14)
+        assert factor.flags.c_contiguous
+
     def test_without_a_bump_nothing_changes(self):
+        # no bump, no full line, and the indicators first with masses in
+        # ascending order (here all equal, on an equicorrelated vector)
         x, fs = oracle_vector(9, 1)
         fs = [verify.PolyGauss(1, 3.0) if isinstance(f, verify.PolyGauss) else f for f in fs]
+        fs = sorted(fs, key=lambda f: not isinstance(f, verify.Indicator))
+        assert isinstance(fs[0], verify.Indicator) and not isinstance(fs[-1], verify.Indicator)
         log_kappa, factor, rest = verify._tilt(x, fs)
         assert log_kappa == 0.0 and factor is x.cholesky_factor and rest is fs
         res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=100_000, seed=5)
@@ -874,17 +1055,15 @@ class TestGaussbumpTilt:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n,case", [(2, 1), (9, 0), (26, 2)])
     def test_lhs_is_kappa_times_the_reduced_estimate(self, monkeypatch, workers, n, case):
-        # bit for bit, whatever the worker count: the plain estimate on the
-        # vector of the returned factor, times kappa, and check_inequality's
-        # left side is that estimate, after one factorization
+        # bit for bit, whatever the worker count: the whole-chunk estimate on
+        # the vector of the returned factor, times kappa, and
+        # check_inequality's left side is that estimate, after one
+        # factorization
         monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
         x, fs = oracle_vector(n, case)
-        log_kappa, factor, rest = verify._tilt(x, fs)
+        log_kappa, _, rest = verify._tilt(x, fs)
         assert 0 < len(rest) < n and log_kappa < 0.0
-        c = factor @ factor.T
-        gamma = np.diag(c).copy()
-        y = decouple.GaussianVector(c=c, gamma=gamma, sigma=np.sqrt(gamma), cholesky_factor=factor)
-        mean, se = verify.mc_expectation(y, rest, 200_000, seed=n)
+        mean, se = sequential_mc_expectation(x, fs, 200_000, seed=n)
         kappa = math.exp(log_kappa)
         assert verify.mc_expectation(x, fs, 200_000, seed=n) == (kappa * mean, kappa * se)
         factorizations = []
