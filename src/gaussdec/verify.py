@@ -16,12 +16,12 @@ Pieces:
   examples*, ch. 8-9).  Full-line indicators are left out, and the
   indicator coordinates come first in L, most selective first.  Only those
   coordinates are sampled, as x = L z with z from numpy's SFC64 bit
-  generator: the chunks run concurrently on a thread pool sized by the CPU
-  affinity mask, each one in blocks of rows drawn, multiplied and evaluated
-  in buffers the chunk allocates once.  Each indicator coordinate
-  is drawn only for the samples that every earlier indicator kept, and the
-  other coordinates and test functions only for the samples that survive
-  them all.  The estimate is bit-identical however the chunks are run.
+  generator: the chunks run one after another in the calling thread, each
+  one in blocks of rows drawn, multiplied and evaluated in buffers the
+  chunk allocates once.  Each indicator coordinate is drawn only for the
+  samples that every earlier indicator kept, and the other coordinates and
+  test functions only for the samples that survive them all.  The estimate
+  is bit-identical however many rows a block holds.
   Versions of gaussdec that drew z from PCG64 (numpy's default_rng), or
   drew every coordinate of every sample, gave other estimates for the same
   seed;
@@ -33,9 +33,7 @@ Pieces:
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,6 +42,7 @@ from . import decouple, matcore
 from .errors import InvalidParameter, as_int
 
 INF = math.inf
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Chunk size of the Monte Carlo sampler; part of the reproducibility
 # contract (see mc_expectation).
@@ -94,10 +93,25 @@ class PolyGauss:
             raise InvalidParameter(f"polygauss needs s > 0, got {self.s}")
 
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f(x), written into ``out`` (and returned) when given."""
-        bump = np.multiply(x, x, out=out)
-        # (x*x)/(-t) has the bits of -(x*x)/t: IEEE division is sign-symmetric
-        bump /= -(self.k * self.s) if self.k else -self.s
+        """f(x), written into ``out`` (and returned) when given.
+
+        The exponent x^2 / (k s) (x^2 / s for k = 0) is x*x / (k s) where
+        s (746 + k/2 log M) < M, M the largest float: there k s is finite,
+        and x*x overflows only at |x| >= sqrt(M), beyond the maximum of f,
+        where f underflows to 0 anyway.  For larger s it is (x / c)^2 with
+        c = sqrt(max(k, 1)) sqrt(s), which overflows only where the
+        exponent itself does."""
+        k = max(self.k, 1)
+        with np.errstate(over="ignore"):
+            if self.s * (746.0 + 0.5 * self.k * _LOG_MAX) < sys.float_info.max:
+                bump = np.multiply(x, x, out=out)
+                # (x*x)/(-t) has the bits of -(x*x)/t: IEEE division is
+                # sign-symmetric
+                bump /= -(k * self.s)
+            else:
+                bump = np.divide(x, math.sqrt(k) * math.sqrt(self.s), out=out)
+                bump *= bump
+                np.negative(bump, out=bump)
         np.exp(bump, out=bump)
         if self.k:
             # (|x| exp(-x^2 / (k s)))^k: the base stays below sqrt(k s / (2e)),
@@ -170,12 +184,26 @@ def _log_normal_mass(a: float, b: float) -> float:
     taken from there in log space, 0.5 erfc(a') (1 - erfc(b')/erfc(a')) with
     a' < b', so that it survives where the mass itself underflows (an
     interval beyond about 37.5); -inf when the mass is below what the
-    difference of tails resolves."""
+    difference of tails resolves.  On a narrow interval, w (m + 1) <= 1/20
+    with w = b' - a' and m the midpoint, that difference cancels (its
+    relative error grows like m eps / w), so the mass is the Taylor series
+    of the density phi about m,
+
+        w phi(m) (1 + w^2 (m^2 - 1) / 24 + w^4 (m^4 - 6 m^2 + 3) / 1920),
+
+    whose next term is below 1e-12 relative there."""
     r = 1.0 / math.sqrt(2.0)
     if a < 0.0 < b:
         return math.log(0.5 * (math.erf(b * r) + math.erf(-a * r)))
     if b <= 0.0:
         a, b = -b, -a
+    w = b - a
+    m = 0.5 * (a + b)
+    if 0.0 < w and w * (m + 1.0) <= 0.05:
+        w2 = w * w
+        m2 = m * m
+        t = w2 * (m2 - 1.0) / 24.0 + w2 * w2 * (m2 * (m2 - 6.0) + 3.0) / 1920.0
+        return math.log(w) - 0.5 * m2 - 0.5 * math.log(2.0 * math.pi) + math.log1p(t)
     log_a = _log_erfc(a * r)
     gap = _log_erfc(b * r) - log_a
     if not gap < 0.0:
@@ -255,32 +283,20 @@ def mc_expectation(
     indicator coordinate j of that chunk from its own SFC64 stream seeded
     with the child's entropy and its spawn key with j appended, and each
     chunk's sum and centred sum of squares are merged in chunk order, so the
-    estimate is bit-identical for a given (seed, samples) no matter how the
-    chunks are executed or how many rows a block holds.  The generator and
-    the layout are part of the contract: versions that drew from PCG64
-    (numpy's default_rng) gave other estimates for the same (seed, samples),
-    and versions that drew every coordinate of every sample from the
-    chunk's generator gave other estimates wherever an indicator is present
-    (a full-line one included, since leaving it out changes the draws of
-    the others).  The chunk sums and sums of squares are held at
-    power-of-two scales (see _chunk_sums), so neither the mean nor the
-    standard error overflows, and the standard error does not underflow to
-    0, while the products are finite.
+    estimate is bit-identical for a given (seed, samples) however many rows
+    a block holds.  The generator and the layout are part of the contract:
+    versions that drew from PCG64 (numpy's default_rng) gave other estimates
+    for the same (seed, samples), and versions that drew every coordinate of
+    every sample from the chunk's generator gave other estimates wherever an
+    indicator is present (a full-line one included, since leaving it out
+    changes the draws of the others).  The chunk sums and sums of squares
+    are held at power-of-two scales (see _chunk_sums), so neither the mean
+    nor the standard error overflows, and the standard error does not
+    underflow to 0, while the products are finite.
 
-    Execution: the chunks run concurrently on a thread pool with one worker
-    per CPU in the process's affinity mask (never more than there are
-    chunks), and their sums are merged in chunk order.  Each chunk draws and
-    evaluates its normals in blocks of rows, reusing one set of
-    buffers, so memory is bounded by about
-    workers x (2 MC_BLOCK n + MC_CHUNK + 5 R) floats and workers x R
-    booleans, with n the sampled coordinates and R <= 4 MC_BLOCK the rows
-    of a block, whatever the sample count: two buffers of n x MC_BLOCK
-    floats, the chunk's products, a work row, a product row for the
-    survivors, three rows of sample positions and a mask row (see
-    _chunk_sums).  An exception in a
-    worker, or one raised in the calling thread (an alarm, an interrupt),
-    cancels the chunks not yet started and stops the running ones at their
-    next block, so the call ends within about one block.
+    The chunks run one after another in the calling thread, so an alarm or
+    an interrupt ends the call between two numpy calls, and memory does not
+    grow with the sample count (see _chunk_sums).
     """
     samples = as_int(samples, "samples")
     seed = as_int(seed, "seed")
@@ -297,22 +313,7 @@ def mc_expectation(
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
-    workers = min(_cpu_count(), n_chunks)
-    stop = threading.Event()
-    # Imported here: concurrent.futures and its thread module (with queue)
-    # take about 3 ms to import, which only the commands that sample pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [
-            pool.submit(_chunk_sums, low, rest, m, child, stop)
-            for m, child in zip(sizes, children)
-        ]
-        sums = [future.result() for future in futures]
-    finally:
-        stop.set()
-        pool.shutdown(cancel_futures=True)
+    sums = [_chunk_sums(low, rest, m, child) for m, child in zip(sizes, children)]
     # the chunk sums are merged at the largest of their scales: each one is
     # below 2^exp of its own, so their total overflows only where the mean
     # would
@@ -340,25 +341,15 @@ def mc_expectation(
     return kappa * mean, kappa * math.ldexp(math.sqrt(var / samples), scale)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _chunk_sums(
     low: np.ndarray,
     fs: list[TestFunction],
     m: int,
     seed: np.random.SeedSequence,
-    stop: threading.Event,
 ) -> tuple[float, int, float, int]:
     """The scaled sum sum(v) / 2^sum_exp, sum_exp, the scaled centred sum of
     squares sum((v - mean(v))^2) / 4^exp and exp over one chunk of m draws,
-    v = prod_i f_i(X_i) with X = L z; NaNs, abandoning the chunk, once
-    ``stop`` is set by a failed call.  2^sum_exp is the binary exponent of
+    v = prod_i f_i(X_i) with X = L z.  2^sum_exp is the binary exponent of
     max |v|, and 2^exp that of max |v - mean(v)| (either is 0 when what it
     measures is 0).  Scaling by a power of two is exact, so each scaled sum
     has the bits of the unscaled one over its power of two wherever that one
@@ -398,9 +389,12 @@ def _chunk_sums(
     coordinate-major, and the products L_ji z_i or the compacted normals;
     in the second phase the packed normals and the matmul's operand and
     result, half a buffer each), two rows, a mask row and three rows of
-    positions.  A block holds at most 4 MC_BLOCK rows and at most
+    positions.  A block holds R <= 4 MC_BLOCK rows and at most
     n MC_BLOCK / k, so that its packed normals fit in one buffer; a larger
-    block spreads each numpy call's fixed cost over more samples.
+    block spreads each numpy call's fixed cost over more samples.  So a
+    call holds about 2 MC_BLOCK n + m + 5 R floats and R booleans, with n
+    the sampled coordinates, whatever the sample count: the chunks run one
+    after another, and each one's buffers are freed before the next.
     """
     n = low.shape[0]
     k = sum(isinstance(f, Indicator) for f in fs)
@@ -427,8 +421,6 @@ def _chunk_sums(
     pos = np.empty(rows, dtype=index.dtype)
     pos_spare = np.empty(rows, dtype=index.dtype)
     for start in range(0, m, rows):
-        if stop.is_set():
-            return math.nan, 0, math.nan, 0
         block = min(rows, m - start)
         alive = block
         pos[:block] = index[:block]

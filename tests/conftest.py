@@ -36,8 +36,8 @@ def deadline():
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fails any test that returns with more live threads than it started
-    with: a thread pool must be joined on every exit path, errors and
-    interrupts included."""
+    with: the program runs in the calling thread, and any thread it starts
+    must be joined on every exit path, errors and interrupts included."""
     before = set(threading.enumerate())
     yield
     leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]

@@ -455,6 +455,21 @@ class TestNonFiniteResults:
         assert doc["rhs_bound"] == pytest.approx(q * 7.0**-0.25, rel=1e-14)
         assert doc["lhs_estimate"] == pytest.approx(0.5, rel=1e-14) and doc["passed"] is True
 
+    def test_polygauss_where_k_s_overflows(self, tmp_path, capsys):
+        # k s = 2e308 and x*x overflow in the sampler; E X^2 exp(-X^2 / s)
+        # is sigma^2 (1 + 2 sigma^2 / s)^(-3/2) = sigma^2 / 8 = 1.875e307
+        cov = tmp_path / "big.json"
+        cov.write_text(json.dumps({"n": 1, "rows": [[1.5e308]]}))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "polygauss", "k": 2, "s": 1e308}]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--input", str(cov), "--p", "2",
+                        "--functions", str(fns)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["lhs_estimate"] - 1.875e307) < 4.0 * doc["lhs_stderr"]
+        assert doc["passed"] is True
+
     def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--input", equi164_file, "--p", "200",
@@ -906,8 +921,8 @@ def fresh_interpreter(code):
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # the sampler imports concurrent.futures and its thread module only when
-    # it runs, which spares the commands that do not sample about 3 ms
+    # the sampler runs in the calling thread: importing concurrent.futures
+    # and its thread module would cost every command about 3 ms
     code = "import sys, gaussdec.cli; print('concurrent.futures' in sys.modules)"
     assert fresh_interpreter(code) == "False"
 
