@@ -718,20 +718,30 @@ class TestMCExpectation:
         with pytest.raises(InvalidParameter, match=name):
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], samples, seed)
 
-    def test_deadline_stops_the_sampler(self, deadline):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_deadline_cancels_queued_chunks(self, deadline, seed):
         # 62 chunks at n = 50 take seconds; an alarm lands in the sampler's
-        # loop, between numpy calls, and ends the call
+        # loop, between numpy calls, and ends the call before the chunks
+        # still to come are drawn
         x = decouple.from_covariance(covgen.generate(covgen.AR1(50, 0.5)))
         fs = [PlainBump(2.0)] * 50
         start = time.perf_counter()
         with pytest.raises(DeadlineExceeded), deadline(0.2):
-            verify.mc_expectation(x, fs, 4_000_000, seed=1)
+            verify.mc_expectation(x, fs, 4_000_000, seed=seed)
         assert time.perf_counter() - start < 1.0
 
-    def test_factor_error_surfaces(self):
+    @pytest.mark.parametrize("fails_at", [1, 3])
+    def test_worker_error_surfaces(self, fails_at):
+        # the factor raises at its first evaluation, or at its third, once
+        # two blocks have been drawn: the error ends the call as it is
+        calls = []
+
         class Exploding:
             def evaluate(self, x, out=None):
-                raise FloatingPointError("evaluate failed")
+                calls.append(x.size)
+                if len(calls) == fails_at:
+                    raise FloatingPointError("evaluate failed")
+                return HALF_LINE.evaluate(x, out)
 
         with pytest.raises(FloatingPointError):
             verify.mc_expectation(EQUI, [HALF_LINE, Exploding()], 5 * verify.MC_CHUNK, seed=2)
@@ -1075,21 +1085,24 @@ class TestGaussbumpTilt:
         expected = sequential_mc_expectation(x, fs, 100_000, seed=5)
         assert (res.lhs_estimate, res.lhs_stderr) == expected
 
+    @pytest.mark.parametrize("scale", [1, 2])
     @pytest.mark.parametrize("n,case", [(2, 1), (9, 0), (26, 2)])
-    def test_lhs_is_kappa_times_the_reduced_estimate(self, monkeypatch, n, case):
+    def test_lhs_is_kappa_times_the_reduced_estimate(self, monkeypatch, scale, n, case):
         # bit for bit: the whole-chunk estimate on the vector of the
         # returned factor, times kappa, and check_inequality's left side is
-        # that estimate, after one factorization
+        # that estimate, after one factorization; scale x 100_000 samples
+        # leave a last chunk of 34464 or of 3392
+        samples = scale * 100_000
         x, fs = oracle_vector(n, case)
         log_kappa, _, rest = verify._tilt(x, fs)
         assert 0 < len(rest) < n and log_kappa < 0.0
-        mean, se = sequential_mc_expectation(x, fs, 200_000, seed=n)
+        mean, se = sequential_mc_expectation(x, fs, samples, seed=n)
         kappa = math.exp(log_kappa)
-        assert verify.mc_expectation(x, fs, 200_000, seed=n) == (kappa * mean, kappa * se)
+        assert verify.mc_expectation(x, fs, samples, seed=n) == (kappa * mean, kappa * se)
         factorizations = []
         cholesky = matcore.cholesky
         monkeypatch.setattr(matcore, "cholesky", lambda a: factorizations.append(a) or cholesky(a))
-        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=200_000, seed=n)
+        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=samples, seed=n)
         assert len(factorizations) == 1
         assert (res.lhs_estimate, res.lhs_stderr) == (kappa * mean, kappa * se)
 
