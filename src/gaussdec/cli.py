@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_NOT_SPD = 3
 EXIT_CHECK_FAILED = 4
 EXIT_NOT_ADMISSIBLE = 5
+
+MAX_SWEEP_ROWS = 10**6  # parameter grid points times p grid points
 
 log = logging.getLogger("gaussdec")
 
@@ -184,7 +187,8 @@ SWEEP_HEADER = [
 ]
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> tuple[int, Iterator[float]]:
+    """A 'start:stop:step' grid's point count, and its points as read."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise InvalidParameter(f"grid must be 'start:stop:step', got {text!r}")
@@ -198,7 +202,7 @@ def _parse_grid(text: str) -> list[float]:
     if not math.isfinite(steps):
         raise InvalidParameter(f"grid {text!r} has an infinite point count")
     count = int(math.floor(steps + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    return count, (start + i * step for i in range(count))
 
 
 def _is_grid(value) -> bool:
@@ -217,8 +221,11 @@ def _sweep_rows(spec: dict):
             f"exactly one family parameter must be a 'start:stop:step' grid, found {swept}"
         )
     key = swept[0]
-    param_values = _parse_grid(family_doc[key])
-    p_values = _parse_grid(spec["p_grid"])
+    param_count, param_values = _parse_grid(family_doc[key])
+    p_count, p_values = _parse_grid(spec["p_grid"])
+    if param_count * p_count > MAX_SWEEP_ROWS:
+        raise InvalidParameter(f"sweep has more than MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS} rows")
+    p_values = list(p_values)
     beta = spec.get("beta")
     if beta is not None:
         try:
@@ -226,7 +233,7 @@ def _sweep_rows(spec: dict):
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(f"sweep 'beta' must be a real number, got {beta!r}") from exc
 
-    log.debug("sweeping %s over %d values, %d exponents", key, len(param_values), len(p_values))
+    log.debug("sweeping %s over %d values, %d exponents", key, param_count, p_count)
     for param in param_values:
         doc = dict(family_doc)
         doc[key] = param

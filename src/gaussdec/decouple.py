@@ -65,8 +65,8 @@ REGION_MARGIN_COEFF = 1e-9
 class GaussianVector:
     """A centered Gaussian vector, represented by its covariance matrix.
 
-    ``c`` is stored exactly symmetric and certified positive definite by its
-    lower Cholesky factor ``cholesky_factor``; ``gamma`` holds the variances
+    ``c`` is stored exactly symmetric and certified positive definite by
+    ``from_covariance``'s Cholesky test; ``gamma`` holds the variances
     diag(C) and ``sigma`` their square roots.  Instances are immutable.  The
     eigenvalues of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
     which give xi, the region and both constants, are computed once on first
@@ -76,7 +76,6 @@ class GaussianVector:
     c: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray
-    cholesky_factor: np.ndarray
 
     @property
     def n(self) -> int:
@@ -112,8 +111,9 @@ def from_covariance(c) -> GaussianVector:
 
     Raises NotSymmetric for an asymmetric input, NonPositiveVariance when a
     diagonal entry is not strictly positive, and NotPositiveDefinite when the
-    Cholesky test fails.  No silent regularization is applied.  Asymmetry is
-    also tested on the correlation scale, against SYM_TOL * sigma_i sigma_j.
+    Cholesky test fails; the factor is not kept.  No silent regularization
+    is applied.  Asymmetry is also tested on the correlation scale, against
+    SYM_TOL * sigma_i sigma_j.
     """
     raw = matcore.as_matrix(c)
     m = matcore.symmetrize(raw)
@@ -126,10 +126,10 @@ def from_covariance(c) -> GaussianVector:
         raise NotSymmetric(
             f"asymmetry exceeds tolerance {matcore.SYM_TOL:.1e} relative to sigma_i sigma_j"
         )
-    low = matcore.cholesky(m)
-    for arr in (m, gamma, sigma, low):
+    matcore.cholesky(m)
+    for arr in (m, gamma, sigma):
         arr.setflags(write=False)
-    return GaussianVector(c=m, gamma=gamma, sigma=sigma, cholesky_factor=low)
+    return GaussianVector(c=m, gamma=gamma, sigma=sigma)
 
 
 def decoupling_coefficient(x: GaussianVector) -> float:

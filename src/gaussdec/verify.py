@@ -184,14 +184,15 @@ def _log_normal_mass(a: float, b: float) -> float:
     taken from there in log space, 0.5 erfc(a') (1 - erfc(b')/erfc(a')) with
     a' < b', so that it survives where the mass itself underflows (an
     interval beyond about 37.5); -inf when the mass is below what the
-    difference of tails resolves.  On a narrow interval, w (m + 1) <= 1/20
+    difference of tails resolves.  On a narrow interval, w (m + 1) <= 2/5
     with w = b' - a' and m the midpoint, that difference cancels (its
     relative error grows like m eps / w), so the mass is the Taylor series
     of the density phi about m,
 
-        w phi(m) (1 + w^2 (m^2 - 1) / 24 + w^4 (m^4 - 6 m^2 + 3) / 1920),
+        w phi(m) sum_{n = 0, 2, .., 8} He_n(m) (w/2)^n / (n + 1)!,
 
-    whose next term is below 1e-12 relative there."""
+    He the probabilists' Hermite polynomials, summed by Clenshaw's
+    recurrence; the next term is below 1e-12 relative there."""
     r = 1.0 / math.sqrt(2.0)
     if a < 0.0 < b:
         return math.log(0.5 * (math.erf(b * r) + math.erf(-a * r)))
@@ -199,11 +200,10 @@ def _log_normal_mass(a: float, b: float) -> float:
         a, b = -b, -a
     w = b - a
     m = 0.5 * (a + b)
-    if 0.0 < w and w * (m + 1.0) <= 0.05:
-        w2 = w * w
-        m2 = m * m
-        t = w2 * (m2 - 1.0) / 24.0 + w2 * w2 * (m2 * (m2 - 6.0) + 3.0) / 1920.0
-        return math.log(w) - 0.5 * m2 - 0.5 * math.log(2.0 * math.pi) + math.log1p(t)
+    if 0.0 < w and w * (m + 1.0) <= 0.4:
+        coef = [0.0 if n % 2 else (0.5 * w) ** n / math.factorial(n + 1) for n in range(9)]
+        series = float(np.polynomial.hermite_e.hermeval(m, coef))
+        return math.log(w) - 0.5 * m * m - 0.5 * math.log(2.0 * math.pi) + math.log(series)
     log_a = _log_erfc(a * r)
     gap = _log_erfc(b * r) - log_a
     if not gap < 0.0:
@@ -380,9 +380,9 @@ def _chunk_sums(
     16 columns, because BLAS computes a trailing partial group of columns
     with other kernels, in other bits.  The other factors are then
     evaluated in their order on the survivors alone, every f_i into one work
-    row and their product into one more, and scattered back with 0 at every
-    dead sample: the product's true value, also where another factor is inf
-    (0 * inf is NaN).  A block with no survivor draws nothing more.
+    row and their product into one more, which each block scatters to its
+    survivors' positions, 0 at every dead one: the product's true value,
+    also where another factor is inf (0 * inf is NaN).
 
     Memory: the chunk allocates its buffers once, two of n x MC_BLOCK floats
     that swap roles at each compaction (the survivors' normals, packed
@@ -449,11 +449,7 @@ def _chunk_sums(
                 alive = kept.size
                 if not alive:
                     break
-        prod = vals[start : start + block]
-        if not alive:
-            prod.fill(0.0)
-            continue
-        product = prod if alive == block else live[:alive]
+        product = live[:alive]
         product.fill(1.0)
         if k < n:
             packed = z[: k * alive].reshape(k, alive)
@@ -469,9 +465,9 @@ def _chunk_sums(
                 np.matmul(other, full, out=x)
                 for r, f in enumerate(fs[k:]):
                     product[t : t + cols] *= f.evaluate(x[r, :cols], work[:cols])
-        if alive < block:
-            prod.fill(0.0)
-            prod[pos[:alive]] = product
+        prod = vals[start : start + block]
+        prod.fill(0.0)
+        prod[pos[:alive]] = product
     # the deviations are taken at the sum's scale, which moves their own
     # exponent by sum_exp and leaves their bits
     sum_exp = math.frexp(max(float(np.max(vals)), -float(np.min(vals))))[1]
@@ -515,10 +511,8 @@ def _tilt(
     factorization.  A is factored at a quarter scale (C/4 and s_B/8) and the
     factor doubled: the scalings are exact powers of two, so the factor has
     the bits of A's own wherever A/4 is a normal float, and no entry of A
-    overflows where C and s_B are finite.  Where that order is the input
-    order (no bump, no full line, the indicators leading by ascending mass)
-    this is (0, x's Cholesky factor, fs); with nothing left to sample F is
-    0 x 0 and the list is empty.
+    overflows where C and s_B are finite.  With nothing left to sample F
+    is 0 x 0 and the list is empty.
     """
     is_bump = [isinstance(f, PolyGauss) and f.k == 0 for f in fs]
     bumps = [j for j, b in enumerate(is_bump) if b]
@@ -528,8 +522,6 @@ def _tilt(
     )
     others = [j for j, f in enumerate(fs) if not (is_bump[j] or isinstance(f, Indicator))]
     order = bumps + indicators + others
-    if not bumps and order == list(range(x.n)):
-        return 0.0, x.cholesky_factor, fs
     if not order:
         return 0.0, np.zeros((0, 0)), []
     nb = len(bumps)

@@ -319,6 +319,9 @@ class TestExitCodes:
             {"family": family, "p_grid": "a:b:c"},
             # (stop - start) / step overflows to an infinite point count
             {"family": family, "p_grid": "1.1:1e308:1e-308"},
+            # about 5e12 rows, past MAX_SWEEP_ROWS: refused before any
+            # grid point is built
+            {"family": family, "p_grid": "1.1:1e6:1e-6"},
         ]
         spec = tmp_path / "spec.json"
         out = tmp_path / "sweep.csv"

@@ -512,6 +512,24 @@ class TestMarginalPnorm:
                 expected = float(mass)
             val = verify.marginal_pnorm(verify.Indicator(a, b), 1.0, 1.0)
             assert val == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # 23 to 38 standard deviations out, w (m + 1) from 1/20 to 1/2 with
+        # w the width and m the midpoint, across the end of the Taylor
+        # branch; the mass underflows past about 37.5, so its log is
+        # compared, to 1e-12 absolute: 1e-12 relative on the mass
+        for _ in range(60):
+            m = float(rng.uniform(23.0, 38.0))
+            w = float(10.0 ** rng.uniform(math.log10(0.05), math.log10(0.5))) / (m + 1.0)
+            a, b = m - 0.5 * w, m + 0.5 * w
+            if rng.choice([False, True]):
+                a, b = -b, -a
+            with mpmath.workdps(50):
+                lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+                if a > 0.0:
+                    mass = mpmath.ncdf(-lo) - mpmath.ncdf(-hi)
+                else:
+                    mass = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+                expected = float(mpmath.log(mass))
+            assert verify._log_normal_mass(a, b) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_full_line_is_exactly_one(self):
         for sigma, p in ((1.0, 1.0), (2.0, 3.0), (0.3, 10.0)):
@@ -626,7 +644,7 @@ class TestMCExpectation:
         # never evaluated on a dead sample, so nothing overflows.
         x = decouple.from_covariance([[1e6, 999.9], [999.9, 1.0]])
         fs = [verify.PolyGauss(100, 1e9), verify.Indicator(-0.01, 0.01)]
-        xs = np.random.default_rng(0).standard_normal((200_000, 2)) @ x.cholesky_factor.T
+        xs = np.random.default_rng(0).standard_normal((200_000, 2)) @ matcore.cholesky(x.c).T
         with np.errstate(over="ignore", invalid="ignore"):
             plain_product = fs[0].evaluate(xs[:, 0]) * fs[1].evaluate(xs[:, 1])
         assert np.isnan(plain_product).any()
@@ -1080,7 +1098,9 @@ class TestGaussbumpTilt:
         fs = sorted(fs, key=lambda f: not isinstance(f, verify.Indicator))
         assert isinstance(fs[0], verify.Indicator) and not isinstance(fs[-1], verify.Indicator)
         log_kappa, factor, rest = verify._tilt(x, fs)
-        assert log_kappa == 0.0 and factor is x.cholesky_factor and rest is fs
+        # C/4 is factored and the factor doubled: exact powers of two
+        assert log_kappa == 0.0 and rest == fs
+        np.testing.assert_array_equal(factor, matcore.cholesky(x.c), strict=True)
         res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=100_000, seed=5)
         expected = sequential_mc_expectation(x, fs, 100_000, seed=5)
         assert (res.lhs_estimate, res.lhs_stderr) == expected
