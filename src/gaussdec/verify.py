@@ -16,12 +16,13 @@ Pieces:
   examples*, ch. 8-9).  Full-line indicators are left out, and the
   indicator coordinates come first in L, most selective first.  Only those
   coordinates are sampled, as x = L z with z from numpy's SFC64 bit
-  generator: the chunks run one after another in the calling thread, each
-  one in blocks of rows drawn, multiplied and evaluated in buffers the
-  chunk allocates once.  Each indicator coordinate is drawn only for the
-  samples that every earlier indicator kept, and the other coordinates and
-  test functions only for the samples that survive them all.  The estimate
-  is bit-identical however many rows a block holds.
+  generator: the chunks run in contiguous slices, one slice per process
+  (the calling one and forked children, one per CPU), each chunk in blocks
+  of rows drawn, multiplied and evaluated in buffers the chunk allocates
+  once.  Each indicator coordinate is drawn only for the samples that every
+  earlier indicator kept, and the other coordinates and test functions only
+  for the samples that survive them all.  The estimate is bit-identical
+  however many rows a block holds and however many processes run it.
   Versions of gaussdec that drew z from PCG64 (numpy's default_rng), or
   drew every coordinate of every sample, gave other estimates for the same
   seed;
@@ -32,7 +33,11 @@ Pieces:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict, dataclass
 
@@ -72,7 +77,10 @@ class Indicator:
         return np.logical_and(np.greater(x, self.a), np.less(x, self.b), out=out)
 
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f(x) as floats, written into ``out`` (and returned) when given."""
+        """f(x) as floats, written into ``out`` (and returned) when given.
+
+        Only the tests reach this: the sampler takes an indicator's mask
+        from ``inside``."""
         if out is None:
             out = np.empty(np.shape(x))
         return self.inside(x, out)
@@ -93,7 +101,9 @@ class PolyGauss:
             raise InvalidParameter(f"polygauss needs s > 0, got {self.s}")
 
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f(x), written into ``out`` (and returned) when given.
+        """f(x), written into ``out`` (and returned) when given.  Only the
+        tests reach the k = 0 case: the sampler integrates every Gaussian
+        bump exactly (see ``_tilt``) and evaluates k > 0 alone.
 
         The exponent x^2 / (k s) (x^2 / s for k = 0) is x*x / (k s) where
         s (746 + k/2 log M) < M, M the largest float: there k s is finite,
@@ -294,9 +304,16 @@ def mc_expectation(
     nor the standard error overflows, and the standard error does not
     underflow to 0, while the products are finite.
 
-    The chunks run one after another in the calling thread, so an alarm or
-    an interrupt ends the call between two numpy calls, and memory does not
-    grow with the sample count (see _chunk_sums).
+    Execution: the chunks are split into w contiguous slices, w the smaller
+    of ``_cpu_count()`` and the chunk count.  The calling process runs the
+    first slice and w - 1 forked children run one slice each, one chunk
+    after another, and the chunk sums are merged in chunk order, so the
+    estimate has the same bits for every w (see _run_chunks).  Each process
+    holds one chunk's buffers at a time, so memory does not grow with the
+    sample count (see _chunk_sums).  An exception in a child reaches the
+    caller with its own type; an exception, alarm or interrupt in the
+    calling process kills and reaps every child, and no child outlives the
+    call.
     """
     samples = as_int(samples, "samples")
     seed = as_int(seed, "seed")
@@ -313,7 +330,8 @@ def mc_expectation(
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
-    sums = [_chunk_sums(low, rest, m, child) for m, child in zip(sizes, children)]
+    jobs = list(zip(sizes, children))
+    sums = _run_chunks(low, rest, jobs, min(_cpu_count(), n_chunks))
     # the chunk sums are merged at the largest of their scales: each one is
     # below 2^exp of its own, so their total overflows only where the mean
     # would
@@ -339,6 +357,107 @@ def mc_expectation(
         m2 += math.ldexp(chunk_m2, 2 * (exp - scale)) + m * math.ldexp(gap, -scale) ** 2
     var = m2 / (samples - 1)
     return kappa * mean, kappa * math.ldexp(math.sqrt(var / samples), scale)
+
+
+def _cpu_count() -> int:
+    """Processes a sampler call may run: the CPUs in this process's affinity
+    mask, ``os.cpu_count()`` where there is no affinity call, and 1 where
+    there is no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _signals_blocked():
+    """Holds back every signal for the block, so that no alarm or interrupt
+    lands between a fork or a reap and the bookkeeping of its child; a
+    signal that arrives meanwhile is delivered at the block's end."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _run_chunks(
+    low: np.ndarray,
+    fs: list[TestFunction],
+    jobs: list[tuple[int, np.random.SeedSequence]],
+    processes: int,
+) -> list[tuple[float, int, float, int]]:
+    """``_chunk_sums`` of every (m, seed) in ``jobs``, in their order.
+
+    The jobs are split into ``processes`` contiguous slices.  The calling
+    process forks one child per slice after the first, runs the first slice
+    itself, then reads each child's sums, pickled through a pipe, before it
+    reaps that child.  With one process nothing is forked.  A child's body
+    is one try/finally that ends in ``os._exit``, so it never returns into
+    its caller's frames; it sends back its sums or the exception that
+    stopped it, which is raised here with its own type (a child that sends
+    nothing, killed or with an unpicklable exception, is a
+    ChildProcessError).  On any exception here, an alarm or an interrupt
+    included, every child not yet reaped is killed with SIGKILL and reaped.
+    """
+    bounds = [len(jobs) * i // processes for i in range(processes + 1)]
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            with _signals_blocked() as mask:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    status = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        os.close(r)
+                        try:
+                            reply = pickle.dumps(
+                                (True, [_chunk_sums(low, fs, m, seed) for m, seed in jobs[lo:hi]])
+                            )
+                        except BaseException as exc:
+                            reply = pickle.dumps((False, exc))
+                        with open(w, "wb") as pipe:
+                            pipe.write(reply)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(w)
+                children.append((pid, r))
+        sums = [_chunk_sums(low, fs, m, seed) for m, seed in jobs[: bounds[1]]]
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            with _signals_blocked():
+                _, status = os.waitpid(pid, 0)
+                os.close(r)
+                del children[0]
+            if not reply:
+                raise ChildProcessError(
+                    f"sampler process {pid} sent no result (wait status {status})"
+                )
+            ok, result = pickle.loads(reply)
+            if not ok:
+                raise result
+            sums += result
+        return sums
+    finally:
+        if children:
+            with _signals_blocked():
+                for pid, _ in children:
+                    os.kill(pid, signal.SIGKILL)
+                for pid, r in children:
+                    os.waitpid(pid, 0)
+                    os.close(r)
 
 
 def _chunk_sums(
@@ -392,9 +511,11 @@ def _chunk_sums(
     positions.  A block holds R <= 4 MC_BLOCK rows and at most
     n MC_BLOCK / k, so that its packed normals fit in one buffer; a larger
     block spreads each numpy call's fixed cost over more samples.  So a
-    call holds about 2 MC_BLOCK n + m + 5 R floats and R booleans, with n
-    the sampled coordinates, whatever the sample count: the chunks run one
-    after another, and each one's buffers are freed before the next.
+    chunk holds about 2 MC_BLOCK n + m + 5 R floats and R booleans, with n
+    the sampled coordinates, whatever the sample count.  Each process of a
+    call (see _run_chunks) runs its chunks one after another and frees each
+    one's buffers before the next, so a call holds that much in each of its
+    processes.
     """
     n = low.shape[0]
     k = sum(isinstance(f, Indicator) for f in fs)

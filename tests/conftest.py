@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import contextlib
+import os
 import signal
 import threading
 
@@ -43,3 +44,16 @@ def no_leaked_threads():
     leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
     if leaked:
         pytest.fail(f"test left threads running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fails any test that returns with a child process not yet reaped: the
+    sampler forks, and must kill or wait for every child it starts on every
+    exit path, errors, alarms and interrupts included."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child left, running or exited
+        return
+    pytest.fail(f"test left a child process: {f'pid {pid}, exited' if pid else 'still running'}")

@@ -924,10 +924,14 @@ def fresh_interpreter(code):
 
 
 def test_import_leaves_thread_pool_unloaded():
-    # the sampler runs in the calling thread: importing concurrent.futures
-    # and its thread module would cost every command about 3 ms
-    code = "import sys, gaussdec.cli; print('concurrent.futures' in sys.modules)"
-    assert fresh_interpreter(code) == "False"
+    # the sampler forks with os and pickle, which numpy has loaded already:
+    # importing concurrent.futures and its thread module, or multiprocessing,
+    # would cost every command a few ms
+    code = (
+        "import sys, gaussdec.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    assert fresh_interpreter(code) == "[]"
 
 
 def test_package_root_binds_no_public_name():

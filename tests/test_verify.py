@@ -3,6 +3,7 @@ vs quadrature and high-precision references, Monte Carlo against exact
 oracles, and the end-to-end inequality check."""
 
 import math
+import os
 import sys
 import time
 import tracemalloc
@@ -737,21 +738,25 @@ class TestMCExpectation:
             verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], samples, seed)
 
     @pytest.mark.parametrize("seed", [1, 3])
-    def test_deadline_cancels_queued_chunks(self, deadline, seed):
+    def test_deadline_cancels_queued_chunks(self, monkeypatch, deadline, seed):
         # 62 chunks at n = 50 take seconds; an alarm lands in the sampler's
         # loop, between numpy calls, and ends the call before the chunks
-        # still to come are drawn
+        # still to come are drawn, also where forked children run the later
+        # slices: they are killed, not waited for
         x = decouple.from_covariance(covgen.generate(covgen.AR1(50, 0.5)))
         fs = [PlainBump(2.0)] * 50
-        start = time.perf_counter()
-        with pytest.raises(DeadlineExceeded), deadline(0.2):
-            verify.mc_expectation(x, fs, 4_000_000, seed=seed)
-        assert time.perf_counter() - start < 1.0
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+            start = time.perf_counter()
+            with pytest.raises(DeadlineExceeded), deadline(0.2):
+                verify.mc_expectation(x, fs, 4_000_000, seed=seed)
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("fails_at", [1, 3])
-    def test_worker_error_surfaces(self, fails_at):
+    def test_worker_error_surfaces(self, monkeypatch, fails_at):
         # the factor raises at its first evaluation, or at its third, once
-        # two blocks have been drawn: the error ends the call as it is
+        # two blocks have been drawn: the error ends the call as it is, in
+        # the calling process and in every forked child
         calls = []
 
         class Exploding:
@@ -761,8 +766,81 @@ class TestMCExpectation:
                     raise FloatingPointError("evaluate failed")
                 return HALF_LINE.evaluate(x, out)
 
-        with pytest.raises(FloatingPointError):
-            verify.mc_expectation(EQUI, [HALF_LINE, Exploding()], 5 * verify.MC_CHUNK, seed=2)
+        for processes in (1, 2, 3):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+            calls.clear()
+            with pytest.raises(FloatingPointError):
+                verify.mc_expectation(EQUI, [HALF_LINE, Exploding()], 5 * verify.MC_CHUNK, seed=2)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_error_in_a_child_reaches_the_caller(self, monkeypatch, processes):
+        # the factor raises only in a forked child, after the calling
+        # process has run its own slice: the exception crosses the pipe
+        # with its type and message
+        caller = os.getpid()
+
+        class ChildOnly:
+            def evaluate(self, x, out=None):
+                if os.getpid() != caller:
+                    raise ChildOnlyError(f"raised in a child, {x.size} rows")
+                return HALF_LINE.evaluate(x, out)
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+        with pytest.raises(ChildOnlyError, match="raised in a child"):
+            verify.mc_expectation(EQUI, [HALF_LINE, ChildOnly()], 5 * verify.MC_CHUNK, seed=2)
+
+    def test_interrupt_kills_the_children(self, monkeypatch):
+        # an interrupt in the calling process, at its first evaluation, ends
+        # the call at once: the children, whose slices take seconds, are
+        # killed and reaped (the autouse no_leaked_children fixture checks
+        # the reaping)
+        caller = os.getpid()
+
+        class Interrupted:
+            def evaluate(self, x, out=None):
+                if os.getpid() == caller:
+                    raise KeyboardInterrupt
+                return HALF_LINE.evaluate(x, out)
+
+        x = decouple.from_covariance(covgen.generate(covgen.AR1(50, 0.5)))
+        fs = [HALF_LINE] + [PlainBump(2.0)] * 48 + [Interrupted()]
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify.mc_expectation(x, fs, 4_000_000, seed=1)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_one_process_per_cpu_up_to_the_chunk_count(self, monkeypatch, cpus):
+        # min(cpus, chunks) processes: the caller and one forked child per
+        # further slice, with the same bits at every count
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        fs = [HALF_LINE, verify.PolyGauss(1, 2.0)]
+        for chunks in (1, 2, 3):
+            samples = (chunks - 1) * verify.MC_CHUNK + verify.MIN_SAMPLES
+            forks.clear()
+            got = verify.mc_expectation(EQUI, fs, samples, seed=chunks)
+            assert len(forks) == min(cpus, chunks) - 1
+            assert got == sequential_mc_expectation(EQUI, fs, samples, seed=chunks)
+
+    def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
+        # the CPUs this process may run on; the machine's count where there
+        # is no affinity call, and 1 where there is no fork
+        assert verify._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert verify._cpu_count() == (os.cpu_count() or 1)
+        monkeypatch.delattr(os, "fork")
+        assert verify._cpu_count() == 1
 
     def test_memory_stays_bounded(self):
         # the call holds one chunk's products, two buffers of normals and
@@ -783,6 +861,11 @@ class TestMCExpectation:
     def test_function_count_checked(self):
         with pytest.raises(InvalidParameter):
             verify.mc_expectation(EQUI, [HALF_LINE], 20_000, seed=0)
+
+
+class ChildOnlyError(Exception):
+    """Raised by a test function in a forked child only; defined at module
+    level, so that the child can pickle it and the caller unpickle it."""
 
 
 FUNCTION_MIX = [verify.Indicator(-0.5, math.inf), verify.PolyGauss(0, 2.0), verify.PolyGauss(1, 3.0)]
@@ -854,7 +937,7 @@ class RecordingIndicator(verify.Indicator):
 
 class TestSamplerMatchesSequentialLoop:
     """The row-blocked sampler returns the same bits as one sequential loop
-    over whole chunks, for any block size."""
+    over whole chunks, for any block size and any number of processes."""
 
     @pytest.mark.parametrize(
         "n,samples,case",
@@ -876,7 +959,8 @@ class TestSamplerMatchesSequentialLoop:
     def test_bits(self, monkeypatch, n, samples, case):
         # MC_BLOCK is outside the contract too: a block that divides
         # MC_CHUNK (4096) or not (1000, and the prime 10007) gives the bits
-        # of whole chunks
+        # of whole chunks, whether the chunks run in the calling process or
+        # in slices over two or three processes
         if isinstance(case, str):
             seed = n + samples
             x = decouple.from_covariance(covgen.generate(covgen.AR1(n, 0.5)))
@@ -888,14 +972,18 @@ class TestSamplerMatchesSequentialLoop:
         expected = sequential_mc_expectation(x, fs, samples, seed=seed)
         for block in (1000, 4096, 10007):
             monkeypatch.setattr(verify, "MC_BLOCK", block)
-            assert verify.mc_expectation(x, fs, samples, seed=seed) == expected
+            for processes in (1, 2, 3):
+                monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+                assert verify.mc_expectation(x, fs, samples, seed=seed) == expected
 
     @pytest.mark.parametrize("samples", [verify.MIN_SAMPLES + 7, verify.MC_CHUNK + 1815])
-    def test_factors_after_an_indicator_see_only_its_survivors(self, samples):
+    def test_factors_after_an_indicator_see_only_its_survivors(self, monkeypatch, samples):
         # the half line kills about half the samples; its mask is taken on
         # every sample, and the Recorder after it is handed the survivors
         # alone, with the bits of the whole-chunk loop, and the estimate
-        # keeps its bits
+        # keeps its bits.  One process: a forked child's rows never reach
+        # the Recorders' lists
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
         got = [RecordingIndicator(0.0, math.inf), Recorder()]
         verify.mc_expectation(EQUI, got, samples, seed=6)
         whole = [RecordingIndicator(0.0, math.inf), Recorder()]
@@ -917,10 +1005,12 @@ class TestSamplerMatchesSequentialLoop:
         verify.MIN_SAMPLES + 7,
         verify.MC_CHUNK + 1815,
     ])
-    def test_rows_are_the_whole_chunk_product(self, samples):
+    def test_rows_are_the_whole_chunk_product(self, monkeypatch, samples):
         # every test function reads its coordinate of z L^T with the bits of
         # the whole-chunk product, in full blocks and in a last block whose
-        # row count is not a multiple of 8
+        # row count is not a multiple of 8.  One process: a forked child's
+        # rows never reach the Recorders' lists
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
         n = 13
         x = decouple.from_covariance(covgen.generate(covgen.RandomSPD(n, seed=n, cond=20.0)))
         got = [Recorder() for _ in range(n)]
@@ -1110,21 +1200,26 @@ class TestGaussbumpTilt:
     def test_lhs_is_kappa_times_the_reduced_estimate(self, monkeypatch, scale, n, case):
         # bit for bit: the whole-chunk estimate on the vector of the
         # returned factor, times kappa, and check_inequality's left side is
-        # that estimate, after one factorization; scale x 100_000 samples
-        # leave a last chunk of 34464 or of 3392
+        # that estimate, after one factorization, in one process or two;
+        # scale x 100_000 samples leave a last chunk of 34464 or of 3392
         samples = scale * 100_000
         x, fs = oracle_vector(n, case)
         log_kappa, _, rest = verify._tilt(x, fs)
         assert 0 < len(rest) < n and log_kappa < 0.0
         mean, se = sequential_mc_expectation(x, fs, samples, seed=n)
         kappa = math.exp(log_kappa)
-        assert verify.mc_expectation(x, fs, samples, seed=n) == (kappa * mean, kappa * se)
-        factorizations = []
         cholesky = matcore.cholesky
-        monkeypatch.setattr(matcore, "cholesky", lambda a: factorizations.append(a) or cholesky(a))
-        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=samples, seed=n)
-        assert len(factorizations) == 1
-        assert (res.lhs_estimate, res.lhs_stderr) == (kappa * mean, kappa * se)
+        for processes in (1, 2):
+            monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+            assert verify.mc_expectation(x, fs, samples, seed=n) == (kappa * mean, kappa * se)
+            factorizations = []
+            monkeypatch.setattr(
+                matcore, "cholesky", lambda a: factorizations.append(a) or cholesky(a)
+            )
+            res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=samples, seed=n)
+            assert len(factorizations) == 1
+            assert (res.lhs_estimate, res.lhs_stderr) == (kappa * mean, kappa * se)
+            monkeypatch.setattr(matcore, "cholesky", cholesky)
 
     @pytest.mark.parametrize("family", [covgen.AR1(6, 0.7), covgen.Equicorrelated(6, 0.5)])
     @pytest.mark.parametrize("pattern", [
@@ -1186,6 +1281,150 @@ class TestGaussbumpTilt:
         fs = [verify.PolyGauss(0, 1.0)] * 2
         res = verify.check_inequality(EQUI, fs, 3.0, samples=1e5, seed=0)
         assert res.samples == 100_000 and res.lhs_stderr == 0.0
+
+
+def two_block_vector():
+    """Equicorrelated(3, 0.9) + Equicorrelated(4, 0.8), block-diagonal: the
+    7 x 7 vector whose breakpoints are 2.8 and 3.4."""
+    c = np.zeros((7, 7))
+    c[:3, :3] = covgen.generate(covgen.Equicorrelated(3, 0.9))
+    c[3:, 3:] = covgen.generate(covgen.Equicorrelated(4, 0.8))
+    return decouple.from_covariance(c)
+
+
+def two_block_lhs(fs):
+    """The exact left side on two_block_vector(): one one-factor integral
+    per block, multiplied."""
+    return oracles.one_factor_lhs([math.sqrt(0.9)] * 3, [0.1] * 3, fs[:3]) * oracles.one_factor_lhs(
+        [math.sqrt(0.8)] * 4, [0.2] * 4, fs[3:]
+    )
+
+
+def one_factor_form(rho, variances):
+    """(v, d) with v v^T + diag(d) = Scaled(Equicorrelated(n, rho), variances)."""
+    sigma = np.sqrt(np.asarray(variances, dtype=float))
+    return sigma * math.sqrt(rho), sigma**2 * (1.0 - rho)
+
+
+class TestOneFactorOracle:
+    """oracles.one_factor_lhs, an exact left side for one-factor
+    covariances that samples nothing, against closed forms and mpmath; then
+    the sampler's estimates against it."""
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_sheppard_orthant(self, rho):
+        v, d = one_factor_form(rho, [1.0, 1.0])
+        got = oracles.one_factor_lhs(v, d, [HALF_LINE, HALF_LINE])
+        assert got == pytest.approx(0.25 + math.asin(rho) / (2.0 * math.pi), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_equicorrelated_half_orthant(self, n):
+        v, d = one_factor_form(0.5, [1.0] * n)
+        assert oracles.one_factor_lhs(v, d, [HALF_LINE] * n) == pytest.approx(1.0 / (n + 1), rel=1e-13)
+
+    def test_bump_determinant(self):
+        # kappa = det(I + 2 diag(1/s) C)^(-1/2) on a scaled equicorrelated C
+        variances = [0.5, 2.0, 1.0, 3.0, 0.8]
+        c = covgen.generate(covgen.Scaled(covgen.Equicorrelated(5, 0.3), tuple(variances)))
+        s = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+        sign, logdet = np.linalg.slogdet(np.eye(5) + 2.0 * c / s[None, :])
+        assert sign == 1.0
+        v, d = one_factor_form(0.3, variances)
+        got = oracles.one_factor_lhs(v, d, [verify.PolyGauss(0, float(t)) for t in s])
+        assert got == pytest.approx(math.exp(-0.5 * logdet), rel=1e-13)
+
+    @pytest.mark.parametrize("f", [
+        verify.Indicator(-0.5, 1.2), verify.Indicator(2.0, math.inf), verify.Indicator(-math.inf, -1.5),
+        verify.PolyGauss(0, 0.7), verify.PolyGauss(1, 2.0), verify.PolyGauss(2, 3.0),
+        verify.PolyGauss(3, 1.5),
+    ])
+    def test_inner_terms_against_mpmath(self, f):
+        # E f(mu + sqrt(d) Z) at a few means, by mpmath quadrature at 30
+        # digits, split where f has a kink or a jump
+        d = 0.6
+        with mpmath.workdps(30):
+            for mu in (-3.0, -0.4, 0.0, 0.7, 5.0):
+                def integrand(z, mu=mu):
+                    y = mu + mpmath.sqrt(d) * z
+                    if isinstance(f, verify.Indicator):
+                        return mpmath.npdf(z) if f.a < y < f.b else mpmath.mpf(0)
+                    return abs(y) ** f.k * mpmath.exp(-y * y / f.s) * mpmath.npdf(z)
+
+                cuts = [b for b in (getattr(f, "a", 0.0), getattr(f, "b", 0.0)) if math.isfinite(b)]
+                points = sorted({(mpmath.mpf(b) - mu) / mpmath.sqrt(d) for b in cuts})
+                ref = mpmath.quad(integrand, [-mpmath.inf, *points, mpmath.inf])
+                got = math.exp(float(oracles._log_inner(f, np.array([mu]), d)[0]))
+                assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_mixed_pair_against_mpmath(self):
+        # an indicator times a polygauss on Scaled(Equicorrelated(2, 0.6)),
+        # variances 1 and 2: the bivariate normal integral by mpmath
+        rho, (s1, s2) = 0.6, (1.0, 2.0)
+        c12 = rho * math.sqrt(s1 * s2)
+        det = s1 * s2 - c12 * c12
+        v, d = one_factor_form(rho, [s1, s2])
+        got = oracles.one_factor_lhs(v, d, [verify.Indicator(-0.5, 1.2), verify.PolyGauss(1, 2.0)])
+        with mpmath.workdps(15):
+            ref = mpmath.quad(
+                lambda x1, x2: abs(x2) * mpmath.exp(-x2 * x2 / 2.0)
+                * mpmath.exp(-(s2 * x1 * x1 - 2.0 * c12 * x1 * x2 + s1 * x2 * x2) / (2.0 * det))
+                / (2.0 * mpmath.pi * mpmath.sqrt(det)),
+                [-0.5, 1.2], [-mpmath.inf, 0.0, mpmath.inf],
+            )
+        assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_two_block_tails(self):
+        # the exact left sides of seven Indicator(t, inf) on the two-block
+        # vector at t = 1, 2, 4 and 6
+        for t, exact in [(1, 5.978e-3), (2, 4.664e-5), (4, 6.752e-12), (6, 2.078e-22)]:
+            assert two_block_lhs([verify.Indicator(t, math.inf)] * 7) == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("rho,variances,pattern", [
+        (0.4, [1.0] * 6, [verify.Indicator(-0.5, math.inf), verify.PolyGauss(1, 2.0),
+                          verify.PolyGauss(0, 1.5), verify.Indicator(-1.0, 1.2)]),
+        (0.6, [0.5, 2.0, 1.0, 3.0, 0.8], [verify.PolyGauss(2, 3.0), verify.Indicator(-math.inf, 0.8),
+                                          verify.Indicator(-0.7, math.inf), verify.PolyGauss(0, 2.0)]),
+        (0.2, [4.0, 0.3, 1.5, 2.5, 1.0, 0.6, 2.0],
+         [verify.Indicator(0.5, math.inf), verify.PolyGauss(3, 1.5), verify.Indicator(-2.0, 0.3)]),
+    ])
+    def test_verify_agrees_on_one_factor_cases(self, rho, variances, pattern):
+        # verify's estimate on Equicorrelated and Scaled vectors of mixed
+        # functions, within 4 of its standard errors of the exact left side
+        n = len(variances)
+        family = covgen.Equicorrelated(n, rho)
+        if any(s != 1.0 for s in variances):
+            family = covgen.Scaled(family, tuple(variances))
+        x = decouple.from_covariance(covgen.generate(family))
+        fs = [pattern[j % len(pattern)] for j in range(n)]
+        exact = oracles.one_factor_lhs(*one_factor_form(rho, variances), fs)
+        res = verify.check_inequality(x, fs, 1.5 * top_breakpoint(x), samples=400_000, seed=n)
+        assert res.lhs_stderr > 0.0
+        assert abs(res.lhs_estimate - exact) <= 4.0 * res.lhs_stderr
+
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_sampler_agrees_on_the_two_block_tails(self, t):
+        # seven Indicator(t, inf): at t = 2 about one sample in 21000
+        # survives, so 1e6 samples still see hits
+        fs = [verify.Indicator(t, math.inf)] * 7
+        est, se = verify.mc_expectation(two_block_vector(), fs, 1_000_000, seed=3)
+        assert se > 0.0
+        assert abs(est - two_block_lhs(fs)) <= 4.0 * se
+
+    def test_deep_tail_pass_is_uninformed(self):
+        # Known failure, asserted as it stands: at t = 4 the exact left side
+        # is 6.752e-12, about 4100 times the bound, but no sample survives
+        # the seven indicators, so verify prints lhs 0 +- 0 and passes with
+        # a margin of +inf.  Conditioning in place of rejection (ROADMAP
+        # item 9) mends it; this test should then assert the exact value
+        # within 4 standard errors and the failed check.
+        x = two_block_vector()
+        fs = [verify.Indicator(4.0, math.inf)] * 7
+        exact = two_block_lhs(fs)
+        res = verify.check_inequality(x, fs, 2.0, samples=1_000_000, seed=3)
+        assert exact == pytest.approx(6.752e-12, rel=1e-3)
+        assert exact > 1000.0 * res.rhs_bound
+        assert (res.lhs_estimate, res.lhs_stderr) == (0.0, 0.0)
+        assert res.passed and res.margin_sigmas == math.inf
 
 
 class TestStressProbeBNotPositiveDefinite:
