@@ -7,9 +7,10 @@ rotations, which stay orthonormal to machine precision regardless of
 conditioning.
 
 Two eigensolvers that share no code are provided on purpose.  ``sym_eigvals``
-(Householder tridiagonalization, one symmetric rank-2 update of the trailing
-block per reflection, then implicitly shifted QL sweeps, values only) is the
-production path.  ``sym_eigen`` (cyclic two-sided Jacobi rotations, folded
+(an exact power-of-two prescaling, Householder tridiagonalization with one
+symmetric rank-2 update of the trailing block per reflection, then root-free
+implicitly shifted QL sweeps on the squared off-diagonals, values only) is
+the production path.  ``sym_eigen`` (cyclic two-sided Jacobi rotations, folded
 into a basis) is its oracle and the only source of eigenvectors; only
 ``decouple.simultaneous_diagonalization`` and the tests call it, and
 ``jacobi_eigen`` returns its eigenvalues.
@@ -69,7 +70,8 @@ def symmetrize(a) -> np.ndarray:
     floats, so the result has the bits of (A + A^T)/2 wherever no entry of
     H is subnormal.
     """
-    h = 0.5 * as_matrix(a)
+    h = as_matrix(a)
+    h *= 0.5
     gap, scale = max_abs(h - h.T), max_abs(h)
     if gap > SYM_TOL * scale:
         raise NotSymmetric(
@@ -102,10 +104,11 @@ def _householder_tridiag(m: np.ndarray) -> tuple[list[float], list[float]]:
 
     Each reflection updates only the trailing block, by the symmetric rank-2
     update A - v w^T - w v^T (Golub and Van Loan, Matrix Computations,
-    Alg. 8.3.1), and stores alpha below the diagonal.  Rounded products and
-    sums commute, so the block stays exactly symmetric.  Q is never formed.
-    Returns the diagonal of T and its subdiagonal with a trailing 0.0 (the
-    workspace slot QL needs), both as Python floats.
+    Alg. 8.3.1), and stores alpha below the diagonal.  Both terms come from
+    one outer product, since w v^T is (v w^T)^T bit for bit, so the block
+    stays exactly symmetric.  Q is never formed.  Returns the diagonal of T
+    and its subdiagonal with a trailing 0.0 (the workspace slot QL needs),
+    both as Python floats.
     """
     a = m.copy()
     n = a.shape[0]
@@ -121,28 +124,35 @@ def _householder_tridiag(m: np.ndarray) -> tuple[list[float], list[float]]:
         beta = 2.0 / vsq
         a[k + 1, k] = alpha
         t = a[k + 1 :, k + 1 :]
-        w = beta * (t @ v)
+        w = t @ v
+        w *= beta
         w -= (0.5 * beta * float(w @ v)) * v
-        t -= np.outer(v, w) + np.outer(w, v)
+        vw = np.multiply.outer(v, w)
+        t -= vw + vw.T
     return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0]
 
 
 def _tridiag_ql(d: list[float], e: list[float]) -> None:
-    """Implicitly shifted QL on the tridiagonal (d, e), in place.
+    """Root-free implicitly shifted QL on the tridiagonal (d, e).
 
-    On exit ``d`` holds the eigenvalues (unsorted).  ``e`` must have length
-    n with e[n-1] free as workspace.  No basis is touched, so the loop is
-    scalar arithmetic on Python floats.
+    On exit ``d`` holds the eigenvalues (unsorted); ``e`` (length n, e[n-1]
+    unused) is only read.  The sweeps run on the squared off-diagonals, the
+    QL branch of LAPACK ``dsterf`` (the Pal-Walker-Kahan variant; Parlett,
+    The Symmetric Eigenvalue Problem, ch. 8): a rotation needs no square
+    root, only the shift does.  e_m deflates when e_m^2 <= (eps (|d_m| +
+    |d_{m+1}|))^2.  No basis is touched, so the loop is scalar arithmetic
+    on Python floats.
     """
     eps = _EPS
     n = len(d)
+    e2 = [x * x for x in e]
     for l in range(n):
         iterations = 0
         while True:
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
+                tst = eps * (abs(d[m]) + abs(d[m + 1]))
+                if e2[m] <= tst * tst:
                     break
                 m += 1
             if m == l:
@@ -152,48 +162,53 @@ def _tridiag_ql(d: list[float], e: list[float]) -> None:
                 raise NonConvergence(
                     f"eigenvalue {l} not converged after {_QL_MAX_ITER} implicit QL steps"
                 )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
+            p = d[l]
+            rte = math.sqrt(e2[l])
+            sigma = (d[l + 1] - p) / (2.0 * rte)
+            sigma = p - rte / (sigma + math.copysign(math.hypot(sigma, 1.0), sigma))
             c = 1.0
-            p = 0.0
+            s = 0.0
+            gamma = d[m] - sigma
+            p = gamma * gamma
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
+                bb = e2[i]
+                r = p + bb
+                e2[i + 1] = s * r  # s = 0 on the first step: e_m deflated
+                oldc = c
+                c = p / r
+                s = bb / r
+                oldgam = gamma
+                alpha = d[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
 
 
 def sym_eigvals(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, as a read-only array.
 
     The production eigensolver: Householder reduction to tridiagonal form,
-    then implicitly shifted QL steps, with no orthogonal basis formed in
-    either stage (Parlett, The Symmetric Eigenvalue Problem, ch. 8); an
-    off-diagonal entry deflates at machine epsilon relative to its diagonal
-    neighbours.  Raises NotSymmetric when the input is not symmetric within
-    SYM_TOL, and NonConvergence if an eigenvalue needs more than 30 shifted
-    steps.
+    then root-free implicitly shifted QL steps on the squared off-diagonals,
+    with no orthogonal basis formed in either stage (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 8); an off-diagonal entry deflates at machine
+    epsilon relative to its diagonal neighbours.  The symmetrized input is
+    first scaled by the power of two 2^-k that puts max|a_ij| 2^-k in
+    [1/2, 1), and the eigenvalues are scaled back by 2^k.  Both scalings
+    are exact for normal floats, and every step of the solver commutes with
+    them, so in range the bits are those of the unscaled run; the scaling
+    keeps the reduction's dot products and the QL's squares from
+    overflowing or underflowing at any input scale.  Raises NotSymmetric
+    when the input is not symmetric within SYM_TOL, and NonConvergence if
+    an eigenvalue needs more than 30 shifted steps.
     """
-    d, e = _householder_tridiag(symmetrize(a))
+    m = symmetrize(a)
+    k = math.frexp(max_abs(m))[1]  # max|m_ij| = f 2^k with f in [1/2, 1)
+    np.ldexp(m, -k, out=m)
+    d, e = _householder_tridiag(m)
     _tridiag_ql(d, e)
-    values = np.sort(d, kind="stable")
+    values = np.ldexp(np.sort(d, kind="stable"), k)
     values.setflags(write=False)
     return values
 
@@ -269,15 +284,17 @@ def cholesky(a) -> np.ndarray:
     n = m.shape[0]
     low = np.zeros_like(m)
     for j in range(n):
-        pivot = m[j, j] - float(np.dot(low[j, :j], low[j, :j]))
-        thresh = PIVOT_TOL * m[j, j]
+        row = low[j, :j]
+        mjj = float(m[j, j])
+        pivot = mjj - float(np.dot(row, row))
+        thresh = PIVOT_TOL * mjj
         if not math.isfinite(pivot) or pivot <= thresh:
             raise NotPositiveDefinite(
                 f"pivot {pivot:.6e} at index {j} is at or below threshold {thresh:.6e}"
             )
         ljj = math.sqrt(pivot)
         low[j, j] = ljj
-        low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
+        low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ row) / ljj
     return low
 
 

@@ -20,6 +20,10 @@ def random_symmetric(n, rng):
     return (a + a.T) / 2.0
 
 
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def random_spd(n, rng):
     g = rng.standard_normal((n, n))
     return g.T @ g + 1e-3 * np.eye(n)
@@ -44,7 +48,7 @@ def _eigvals_cases():
     yield "n=2", np.array([[1.0, 0.5], [0.5, 1.0]])
     yield "n=3", random_symmetric(3, rng)
     yield "diagonal", np.diag([3.0, -1.0, 2.0, 2.0, 0.0])
-    yield "tridiagonal", np.diag([2.0] * 6) + np.diag([1.0] * 5, 1) + np.diag([1.0] * 5, -1)
+    yield "tridiagonal", tridiagonal([2.0] * 6, [1.0] * 5)
     yield "equicorrelated", covgen.generate(covgen.Equicorrelated(40, 0.5))
     for n, seed in ((5, 1), (17, 2), (40, 3), (64, 4)):
         yield f"randomspd-{n}", covgen.generate(covgen.RandomSPD(n, seed, 1e3))
@@ -62,7 +66,19 @@ def _tridiag_cases():
     yield "block-diagonal", block
     rng = np.random.default_rng(78)
     off = rng.standard_normal(6)
-    yield "random-tridiagonal", np.diag(rng.standard_normal(7)) + np.diag(off, 1) + np.diag(off, -1)
+    yield "random-tridiagonal", tridiagonal(rng.standard_normal(7), off)
+    # hard cases for the QL: Wilkinson's pairs of close eigenvalues, a zero
+    # diagonal, a graded matrix, and blocks glued by tiny off-diagonals
+    yield "wilkinson-21+", tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+    yield "wilkinson-21-", tridiagonal(np.arange(10.0, -11.0, -1.0), np.ones(20))
+    yield "zero-diagonal-30", tridiagonal(np.zeros(30), np.ones(29))
+    k = np.arange(24.0)
+    yield "graded-24", tridiagonal(10.0 ** -k, 10.0 ** -(k[:-1] + 0.5))
+    w7 = np.abs(np.arange(-3.0, 4.0))
+    glue = np.ones(6)
+    yield "glued-wilkinson-7+", tridiagonal(
+        np.concatenate([w7] * 3), np.concatenate([glue, [1e-8], glue, [1e-8], glue])
+    )
 
 
 TRIDIAG_CASES = list(_tridiag_cases())
@@ -144,6 +160,20 @@ class TestSymEigvals:
         expected = np.linalg.eigvalsh(a)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(matcore.sym_eigvals(a) - expected)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]]),
+         dict(EIGVALS_CASES)["randomspd-17"]],
+        ids=["3x3", "randomspd-17"],
+    )
+    def test_scale_invariant(self, a, s):
+        # unscaled, x.x underflows near 1e-160 and overflows near 1e160 in
+        # the reduction; every entry of s*a is a normal float
+        expected = np.linalg.eigvalsh(a)
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(matcore.sym_eigvals(s * a) / s - expected)) <= 1e-14 * scale
 
 
 class TestHouseholderTridiag:
