@@ -69,8 +69,9 @@ class GaussianVector:
     ``from_covariance``'s Cholesky test; ``gamma`` holds the variances
     diag(C) and ``sigma`` their square roots.  Instances are immutable.  The
     eigenvalues of the correlation matrix K = diag(1/sigma) C diag(1/sigma),
-    which give xi, the region and both constants, are computed once on first
-    use and cached.
+    which give xi, the region and both constants, and the decoupling
+    coefficient p(X) behind the classical threshold are each computed once
+    on first use and cached.
     """
 
     c: np.ndarray
@@ -105,6 +106,19 @@ class GaussianVector:
     def _region(self) -> "AdmissibleRegion":
         return admissible_region(self._eigenvalues)
 
+    @cached_property
+    def _p_of_x(self) -> float:
+        """p(X), the largest sum_j |C_ij| / C_ii.  Row i is summed at the
+        power-of-two scale of C_ii = f_i 2^e_i, f_i in [1/2, 1), and divided
+        by f_i: the scaling is exact for every entry above 2^-1021 C_ii, so
+        the bits are those of the unscaled quotient wherever its row sum is
+        a finite float and no nonzero entry is smaller, and a row whose sum
+        would overflow (entries near the float range) still gives its
+        ratio, which is at most n sqrt(max gamma / min gamma)."""
+        frac, exp = np.frexp(self.gamma)
+        rows = np.ldexp(np.abs(self.c), -exp[:, None])
+        return float(np.max(np.sum(rows, axis=1) / frac))
+
 
 def from_covariance(c) -> GaussianVector:
     """Validate a covariance matrix and wrap it as a GaussianVector.
@@ -122,7 +136,10 @@ def from_covariance(c) -> GaussianVector:
         bad = int(np.argmin(gamma))
         raise NonPositiveVariance(f"variance at index {bad} is {gamma[bad]:.6e}")
     sigma = np.sqrt(gamma)
-    if np.any(np.abs(raw - raw.T) > matcore.SYM_TOL * np.outer(sigma, sigma)):
+    # an exactly symmetric input has no asymmetry to measure
+    if not (raw == raw.T).all() and np.any(
+        np.abs(raw - raw.T) > matcore.SYM_TOL * np.outer(sigma, sigma)
+    ):
         raise NotSymmetric(
             f"asymmetry exceeds tolerance {matcore.SYM_TOL:.1e} relative to sigma_i sigma_j"
         )
@@ -133,12 +150,12 @@ def from_covariance(c) -> GaussianVector:
 
 
 def decoupling_coefficient(x: GaussianVector) -> float:
-    """max_i of sum_j |C_ij| / C_ii (the j-sum includes j = i).
+    """p(X) = max_i of sum_j |C_ij| / C_ii (the j-sum includes j = i).
 
-    Always >= 1, with equality exactly when C is diagonal.
+    Always >= 1, with equality exactly when C is diagonal.  Computed once
+    per vector and cached (see ``GaussianVector``).
     """
-    rowsums = np.sum(np.abs(x.c), axis=1) / x.gamma
-    return float(np.max(rowsums))
+    return x._p_of_x
 
 
 def check_exponent(p: float) -> None:

@@ -69,14 +69,19 @@ def symmetrize(a) -> np.ndarray:
     (a_ij + a_ji does above about 8.99e307); halving is exact for normal
     floats, so the result has the bits of (A + A^T)/2 wherever no entry of
     H is subnormal.
+
+    An exactly symmetric H (the common case: a covariance read from a
+    document, or a matrix this package built) skips the test, whose gap is
+    0 there, and still returns H + H^T, the same bits as the tested path.
     """
     h = as_matrix(a)
     h *= 0.5
-    gap, scale = max_abs(h - h.T), max_abs(h)
-    if gap > SYM_TOL * scale:
-        raise NotSymmetric(
-            f"asymmetry {gap / scale:.3e} relative to max|a_ij| exceeds tolerance {SYM_TOL:.1e}"
-        )
+    if not (h == h.T).all():
+        gap, scale = max_abs(h - h.T), max_abs(h)
+        if gap > SYM_TOL * scale:
+            raise NotSymmetric(
+                f"asymmetry {gap / scale:.3e} relative to max|a_ij| exceeds tolerance {SYM_TOL:.1e}"
+            )
     return h + h.T
 
 
@@ -114,10 +119,11 @@ def _householder_tridiag(m: np.ndarray) -> tuple[list[float], list[float]]:
     n = a.shape[0]
     for k in range(n - 2):
         x = a[k + 1 :, k]
+        x0 = float(x[0])
         norm = math.sqrt(float(np.dot(x, x)))
-        alpha = -math.copysign(norm, x[0])
+        alpha = -math.copysign(norm, x0)
         v = x.copy()
-        v[0] -= alpha
+        v[0] = x0 - alpha
         vsq = float(np.dot(v, v))
         if vsq == 0.0:  # a zero column: nothing to annihilate
             continue
@@ -127,7 +133,7 @@ def _householder_tridiag(m: np.ndarray) -> tuple[list[float], list[float]]:
         w = t @ v
         w *= beta
         w -= (0.5 * beta * float(w @ v)) * v
-        vw = np.multiply.outer(v, w)
+        vw = v[:, None] * w
         t -= vw + vw.T
     return np.diag(a).tolist(), np.diag(a, -1).tolist() + [0.0]
 
@@ -200,15 +206,21 @@ def sym_eigvals(a) -> np.ndarray:
     them, so in range the bits are those of the unscaled run; the scaling
     keeps the reduction's dot products and the QL's squares from
     overflowing or underflowing at any input scale.  Raises NotSymmetric
-    when the input is not symmetric within SYM_TOL, and NonConvergence if
-    an eigenvalue needs more than 30 shifted steps.
+    when the input is not symmetric within SYM_TOL, NonConvergence if an
+    eigenvalue needs more than 30 shifted steps, and OverflowError when an
+    eigenvalue lies beyond the float range (the scaled value times 2^k
+    would round to inf).
     """
     m = symmetrize(a)
     k = math.frexp(max_abs(m))[1]  # max|m_ij| = f 2^k with f in [1/2, 1)
     np.ldexp(m, -k, out=m)
     d, e = _householder_tridiag(m)
     _tridiag_ql(d, e)
-    values = np.ldexp(np.sort(d, kind="stable"), k)
+    values = np.sort(d, kind="stable")
+    top = max(-values[0], values[-1])
+    if math.frexp(top)[1] + k > 1024:  # |lambda| >= 2^1024 once scaled back
+        raise OverflowError(f"eigenvalue {top:.6e} * 2^{k} exceeds the float range")
+    np.ldexp(values, k, out=values)
     values.setflags(write=False)
     return values
 
@@ -307,13 +319,13 @@ def lu_det(a) -> float:
     n = m.shape[0]
     det = 1.0
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[piv, k] == 0.0:
+        piv = k + int(np.abs(m[k:, k]).argmax())
+        pivot = float(m[piv, k])
+        if pivot == 0.0:
             return 0.0
         if piv != k:
             m[[k, piv], :] = m[[piv, k], :]
             det = -det
-        det *= float(m[k, k])
-        factors = m[k + 1 :, k] / m[k, k]
-        m[k + 1 :, k + 1 :] -= factors[:, None] * m[k, k + 1 :]
-    return float(det)
+        det *= pivot
+        m[k + 1 :, k + 1 :] -= (m[k + 1 :, k] / pivot)[:, None] * m[k, k + 1 :]
+    return det

@@ -558,13 +558,13 @@ def _chunk_sums(
                 terms[:, 1] = 0.0
             np.multiply(low[j, : j + 1, None], normals, out=terms[:, :alive])
             x_j = np.add.reduce(terms, axis=0, out=work[:width])[:alive]
-            kept = np.flatnonzero(fs[j].inside(x_j, inside[:alive]))
+            kept = fs[j].inside(x_j, inside[:alive]).nonzero()[0]
             if kept.size < alive:
                 # every index is in range, so mode="clip" changes nothing
                 # but spares numpy's buffered copy for mode="raise"
                 out = spare[: (j + 1) * kept.size].reshape(j + 1, kept.size)
-                np.take(normals, kept, axis=1, out=out, mode="clip")
-                np.take(pos[:alive], kept, out=pos_spare[: kept.size], mode="clip")
+                normals.take(kept, axis=1, out=out, mode="clip")
+                pos[:alive].take(kept, out=pos_spare[: kept.size], mode="clip")
                 z, spare = spare, z
                 pos, pos_spare = pos_spare, pos
                 alive = kept.size

@@ -473,6 +473,25 @@ class TestNonFiniteResults:
         assert abs(doc["lhs_estimate"] - 1.875e307) < 4.0 * doc["lhs_stderr"]
         assert doc["passed"] is True
 
+    def test_classical_threshold_where_row_sums_overflow(self, tmp_path, capsys):
+        # each row of 1e308 * Equicorrelated(3, 0.5) sums to 2e308, beyond
+        # the float range; p(X) is 2, as unscaled, so p = 3 clears the
+        # classical threshold, and the orthant probability is 1/4
+        cov = tmp_path / "big.json"
+        c = 1e308 * covgen.generate(covgen.Equicorrelated(3, 0.5))
+        cov.write_text(json.dumps(cli.matrix_to_document(c)))
+        fns = tmp_path / "fns.json"
+        fns.write_text(json.dumps([{"kind": "indicator", "a": 0, "b": "inf"}] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--input", str(cov), "--p", "3", "--constant", "old",
+                        "--functions", str(fns), "--samples", "100000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert abs(doc["lhs_estimate"] - 0.25) < 4.0 * doc["lhs_stderr"]
+        assert doc["passed"] is True
+
     def test_nothing_written_to_the_output_file(self, equi164_file, tmp_path):
         out = tmp_path / "bounds.json"
         assert run(["bounds", "--input", equi164_file, "--p", "200",

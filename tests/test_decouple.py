@@ -7,6 +7,7 @@ frozen here; randomized suites check the invariants against brute-force
 oracles written inline.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -68,7 +69,7 @@ class TestFromCovariance:
     def test_asymmetry_is_measured_on_the_correlation_scale(self):
         tiny = [[1e-14, 2e-15, 0.0], [8e-15, 1e-14, 0.0], [0.0, 0.0, 1.0]]
         matcore.symmetrize(tiny)  # within SYM_TOL * max|c|
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotSymmetric, match="relative to sigma_i sigma_j"):
             decouple.from_covariance(tiny)
         d = np.array([1e-7, 1.0, 1e7])
         c = np.outer(d, d) * np.array(covgen.generate(covgen.Equicorrelated(3, 0.5)))
@@ -111,6 +112,31 @@ class TestDecouplingCoefficient:
         oracle = brute_force_row_coefficient(x.c.tolist())
         assert decouple.decoupling_coefficient(x) == pytest.approx(oracle, rel=1e-14)
         assert decouple.decoupling_coefficient(x) >= 1.0
+
+    def test_rows_near_the_float_range(self):
+        # 1e308 * Equicorrelated(3, 0.5): each row sums to 2e308, beyond the
+        # float range, and p(X) is 2 as for the unscaled matrix
+        c = 1e308 * covgen.generate(covgen.Equicorrelated(3, 0.5))
+        assert decouple.decoupling_coefficient(decouple.from_covariance(c)) == 2.0
+
+    def test_computed_once_per_vector(self, monkeypatch):
+        calls = []
+        original = decouple.GaussianVector._p_of_x.func
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(decouple.GaussianVector, "_p_of_x")
+        monkeypatch.setattr(decouple.GaussianVector, "_p_of_x", prop)
+        x = decouple.from_covariance(covgen.generate(covgen.AR1(5, 0.5)))
+        p = 3.0 * decouple.decoupling_coefficient(x)
+        for beta in (None, 2.0):
+            rep = decouple.analyze(x, p, beta=beta)
+            assert rep.q_old is not None
+        decouple.q_old(x, p, decouple.optimal_beta_bar(x, p))
+        assert calls == [x]
 
 
 class TestBetaBar:

@@ -145,6 +145,18 @@ class TestSymEigvals:
         with pytest.raises(NotSymmetric):
             matcore.sym_eigvals([[1.0, 2.0], [0.0, 1.0]])
 
+    def test_eigenvalue_beyond_the_float_range_overflows(self):
+        # eigenvalues 0 and 2e308: scaling 2e308 back would give inf, with
+        # numpy's overflow warning, which Tier-1 turns into an error
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            matcore.sym_eigvals([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_eigenvalues_at_the_float_range_stay_finite(self):
+        vals = matcore.sym_eigvals([[1e308, 0.0], [0.0, 1e308]])
+        assert vals.tolist() == [1e308, 1e308]
+        big = np.nextafter(np.inf, 0.0)
+        assert matcore.sym_eigvals([[big]]).tolist() == [big]
+
     @pytest.mark.parametrize(
         "solver,cap",
         [(matcore.sym_eigvals, "_QL_MAX_ITER"), (matcore.sym_eigen, "_JACOBI_MAX_SWEEPS")],
@@ -336,4 +348,42 @@ class TestValidation:
         np.testing.assert_array_equal(matcore.symmetrize(big), big)
         with pytest.raises(NotSymmetric):
             matcore.symmetrize([[1.0, 1e308], [-1e308, 1.0]])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 5e-324], [5e-324, 1.0]],
+            [[1.0, 5e-324, -5e-324], [5e-324, 2.0, 0.0], [-5e-324, 0.0, 3.0]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[0.0, -0.0], [0.0, 1.0]],
+            [[1.5e308, -1.5e308], [-1.5e308, 1.5e308]],
+        ],
+        ids=["subnormal", "signed-subnormals", "negative-zeros", "mixed-zeros", "near-max"],
+    )
+    def test_symmetrize_exactly_symmetric_input_skips_the_test(self, monkeypatch, a):
+        # the fast path measures no gap and keeps the bits of h/2 + (h/2)^T,
+        # subnormal halves and signed zeros included
+        calls = []
+        monkeypatch.setattr(matcore, "max_abs", lambda m: calls.append(m) or 0.0)
+        h = np.array(a) * 0.5
+        assert matcore.symmetrize(a).tobytes() == (h + h.T).tobytes()
+        assert calls == []
+
+    def test_symmetrize_one_ulp_off_takes_the_tolerance_path(self, monkeypatch):
+        a = np.array([[1.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
+        calls = []
+        max_abs = matcore.max_abs
+        monkeypatch.setattr(matcore, "max_abs", lambda m: calls.append(m) or max_abs(m))
+        m = matcore.symmetrize(a)
+        assert len(calls) == 2
+        h = a * 0.5
+        assert m[0, 1] == m[1, 0] == h[0, 1] + h[1, 0]
+        assert m.tobytes() == (h + h.T).tobytes()
+
+    def test_symmetrize_beyond_tolerance_message(self):
+        with pytest.raises(
+            NotSymmetric,
+            match=r"^asymmetry 1\.000e\+00 relative to max\|a_ij\| exceeds tolerance 1\.0e-12$",
+        ):
+            matcore.symmetrize([[1.0, 2.0], [0.0, 1.0]])
 

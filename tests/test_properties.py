@@ -7,8 +7,9 @@ unchanged, region membership is the sign of det(p*diag(gamma) - C), and the
 breakpoints above p count the negative eigenvalues of that matrix.  Breakpoints
 closer than the membership margin end one interval, and membership still
 follows the parity rule around them.
-The classical route's p(X) is never below the top breakpoint and equals it
-for equicorrelated covariances; above it both paper constants are at least 1.
+The classical route's p(X) is never below the top breakpoint, equals it
+for equicorrelated covariances, and keeps its bits when C is scaled by a
+power of two; above it both paper constants are at least 1.
 Marginal p-norms are nondecreasing in p (Lyapunov), scale with sigma as
 the test functions do, and, for an indicator, do not change by a bit when
 its interval is reflected through 0.  The sampler's mean of Gaussian bumps
@@ -23,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -202,6 +203,24 @@ def test_classical_route_never_reaches_below_the_top_breakpoint(c):
     x = decouple.from_covariance(c)
     top = decouple.region_of(x).breakpoints[0]
     assert decouple.decoupling_coefficient(x) >= top * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(c=covariances(), k=st.integers(-1000, 1000))
+def test_p_of_x_does_not_see_a_power_of_two_scale(c, k):
+    # p(X) is a ratio of entries, and each row is summed at its variance's
+    # power-of-two scale, so 2^k C gives the bits of C wherever 2^k C is
+    # exact, also where its row sums leave the float range: as they may
+    # once the largest variance is scaled into the top binade [2^1023, 2^1024)
+    def p_of_x(m):
+        return decouple.decoupling_coefficient(decouple.from_covariance(m))
+
+    expected = p_of_x(c)
+    top = 1024 - math.frexp(float(np.max(c)))[1]
+    assert p_of_x(np.ldexp(c, top)) == expected
+    scaled = np.ldexp(c, k)
+    assume(np.array_equal(np.ldexp(scaled, -k), c))
+    assert p_of_x(scaled) == expected
 
 
 @PROPERTY
