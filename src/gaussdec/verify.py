@@ -7,25 +7,11 @@ Pieces:
   through lgamma for PolyGauss, and log normal masses for indicators (erf
   for an interval that straddles 0, erfc tails otherwise), so that only
   log E / p is exponentiated;
-* seeded, chunked Monte Carlo estimation of E prod f_i(X_i).  The Gaussian
-  bumps (PolyGauss with k = 0), whose factors exp(-x^2 / s) are Gaussian
-  kernels, are integrated exactly: one Cholesky factorization of the
-  covariance with s/2 added to the bumps' diagonal entries gives their joint
-  factor kappa in log space and the factor L of the other coordinates given
-  the bumps (exponential tilting; Owen, *Monte Carlo theory, methods and
-  examples*, ch. 8-9).  Full-line indicators are left out, and the
-  indicator coordinates come first in L, most selective first.  Only those
-  coordinates are sampled, as x = L z with z from numpy's SFC64 bit
-  generator: the chunks run in contiguous slices, one slice per process
-  (the calling one and forked children, one per CPU), each chunk in blocks
-  of rows drawn, multiplied and evaluated in buffers the chunk allocates
-  once.  Each indicator coordinate is drawn only for the samples that every
-  earlier indicator kept, and the other coordinates and test functions only
-  for the samples that survive them all.  The estimate is bit-identical
-  however many rows a block holds and however many processes run it.
-  Versions of gaussdec that drew z from PCG64 (numpy's default_rng), or
-  drew every coordinate of every sample, gave other estimates for the same
-  seed;
+* ``mc_expectation``, the one Monte Carlo estimator of E prod f_i(X_i):
+  the Gaussian bumps (PolyGauss with k = 0) are integrated exactly
+  (``_tilt``), and the other coordinates are sampled in seeded chunks,
+  indicators first, each only for the samples that every earlier indicator
+  kept.  Its docstring holds the sampler's reproducibility contract;
 * ``check_inequality`` tying it together: the estimate must not exceed
   Q * prod ||f_i(X_i)||_p by more than three standard errors, with Q either
   the region constant or the classical one.
@@ -71,19 +57,11 @@ class Indicator:
             raise InvalidParameter(f"indicator needs a < b, got ({self.a}, {self.b})")
 
     def inside(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """a < x < b, written into ``out`` (and returned): booleans into a
-        bool array, 1.0 and 0.0 into a float one.  Both bounds are always
-        compared, so +-inf and NaN lie outside whatever the bounds."""
+        """The mask a < x < b, written into the bool array ``out`` (and
+        returned); the sampler's only evaluation of an indicator.  Both
+        bounds are always compared, so +-inf and NaN lie outside whatever
+        the bounds."""
         return np.logical_and(np.greater(x, self.a), np.less(x, self.b), out=out)
-
-    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f(x) as floats, written into ``out`` (and returned) when given.
-
-        Only the tests reach this: the sampler takes an indicator's mask
-        from ``inside``."""
-        if out is None:
-            out = np.empty(np.shape(x))
-        return self.inside(x, out)
 
 
 @dataclass(frozen=True)
@@ -102,8 +80,9 @@ class PolyGauss:
 
     def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(x), written into ``out`` (and returned) when given.  Only the
-        tests reach the k = 0 case: the sampler integrates every Gaussian
-        bump exactly (see ``_tilt``) and evaluates k > 0 alone.
+        tests reach the k = 0 case, as the plain-sampling reference for
+        ``_tilt``'s exact integration of the Gaussian bumps; the sampler
+        evaluates k > 0 alone.
 
         The exponent x^2 / (k s) (x^2 / s for k = 0) is x*x / (k s) where
         s (746 + k/2 log M) < M, M the largest float: there k s is finite,
@@ -270,47 +249,51 @@ def mc_expectation(
     with ``as_int``, so 1e6 is a count and 1.5 is InvalidParameter.
 
     The Gaussian bumps (PolyGauss with k = 0) are integrated exactly and the
-    full-line indicators, the constant 1, are left out (``_tilt``): the
-    estimate is kappa times the sample mean of the other factors' product
-    over the other coordinates given the bumps, and the standard error is
-    kappa times that of the sample mean.  With nothing left to sample the
-    estimate is kappa (1 without a bump), with a standard error of 0, and
-    nothing is drawn.  Versions of gaussdec whose mc_expectation sampled the
-    bumps gave other estimates for the same (seed, samples) wherever a bump
-    is present.
+    full-line indicators, the constant 1, are left out (``_tilt``;
+    exponential tilting, Owen, *Monte Carlo theory, methods and examples*,
+    ch. 8-9): the estimate is kappa times the sample mean of the other
+    factors' product over the other coordinates given the bumps, and the
+    standard error is kappa times that of the sample mean.  With nothing
+    left to sample the estimate is kappa (1 without a bump), with a
+    standard error of 0, and nothing is drawn.
 
     Draws x = L z with L the Cholesky factor of the sampled coordinates'
     covariance, the indicators first, and z standard normal.  Indicator
     coordinates are drawn first, each only for the samples that every
     earlier indicator kept; the other coordinates are drawn for the
-    survivors alone, and a dead sample's product is 0 (see _chunk_sums).
-    This is plain Monte Carlo, with the distribution and variance of
-    sampling every coordinate: it only draws no normals for samples that
-    are already 0.
-    Reproducibility contract: the sample space is split into chunks of
-    MC_CHUNK draws (last chunk smaller); chunk i draws from numpy's SFC64
-    bit generator seeded with the i-th child of SeedSequence(seed), the
-    indicator coordinate j of that chunk from its own SFC64 stream seeded
-    with the child's entropy and its spawn key with j appended, and each
-    chunk's sum and centred sum of squares are merged in chunk order, so the
-    estimate is bit-identical for a given (seed, samples) however many rows
-    a block holds.  The generator and the layout are part of the contract:
-    versions that drew from PCG64 (numpy's default_rng) gave other estimates
-    for the same (seed, samples), and versions that drew every coordinate of
-    every sample from the chunk's generator gave other estimates wherever an
-    indicator is present (a full-line one included, since leaving it out
-    changes the draws of the others).  The chunk sums and sums of squares
-    are held at power-of-two scales (see _chunk_sums), so neither the mean
-    nor the standard error overflows, and the standard error does not
-    underflow to 0, while the products are finite.
+    survivors alone, and a dead sample's product is 0.  This is plain
+    Monte Carlo, with the distribution and variance of sampling every
+    coordinate: it only draws no normals for samples that are already 0.
+
+    Reproducibility contract:
+
+    * chunks: the samples are split into chunks of MC_CHUNK draws, the last
+      one smaller;
+    * chunk seeds: chunk i is seeded with the i-th child of
+      SeedSequence(seed).spawn(chunk count);
+    * streams: in chunk i, with child its seed, indicator coordinate j draws
+      from numpy's SFC64 bit generator seeded with
+      SeedSequence(child.entropy, spawn_key=child.spawn_key + (j,)), one
+      normal for each sample that every earlier indicator kept, in sample
+      order; the samples that every indicator kept then draw their other
+      coordinates from SFC64(child), sample by sample;
+    * merge order: each chunk's sum and centred sum of squares, held at
+      power-of-two scales, are merged in chunk order, so neither the mean
+      nor the standard error overflows, and the standard error does not
+      underflow to 0, while the products are finite;
+    * bits: so the estimate and its standard error are bit-identical for a
+      given (x, fs, samples, seed) however many rows a block holds, however
+      many processes run the chunks and whatever CPUs the affinity mask
+      holds;
+    * memory: each process holds one chunk's buffers at a time, which do
+      not grow with the sample count (see ``_chunk_sums``).  The calling
+      process's lists of chunk seeds, jobs and chunk sums do, by about
+      0.7 kB per chunk (about 110 MB at 1e10 samples).
 
     Execution: the chunks are split into w contiguous slices, w the smaller
     of ``_cpu_count()`` and the chunk count.  The calling process runs the
     first slice and w - 1 forked children run one slice each, one chunk
-    after another, and the chunk sums are merged in chunk order, so the
-    estimate has the same bits for every w (see _run_chunks).  Each process
-    holds one chunk's buffers at a time, so memory does not grow with the
-    sample count (see _chunk_sums).  An exception in a child reaches the
+    after another (``_run_chunks``).  An exception in a child reaches the
     caller with its own type; an exception, alarm or interrupt in the
     calling process kills and reaps every child, and no child outlives the
     call.
@@ -468,43 +451,42 @@ def _chunk_sums(
 ) -> tuple[float, int, float, int]:
     """The scaled sum sum(v) / 2^sum_exp, sum_exp, the scaled centred sum of
     squares sum((v - mean(v))^2) / 4^exp and exp over one chunk of m draws,
-    v = prod_i f_i(X_i) with X = L z.  2^sum_exp is the binary exponent of
-    max |v|, and 2^exp that of max |v - mean(v)| (either is 0 when what it
-    measures is 0).  Scaling by a power of two is exact, so each scaled sum
-    has the bits of the unscaled one over its power of two wherever that one
-    is a normal float: every scaled term lies in (-1, 1), and the scaled sum
-    of squares in [1/4, m) for a nonconstant v, even where the unscaled sums
-    would overflow or underflow to 0.
+    v = prod_i f_i(X_i) with X = L z, drawn from the streams of ``seed`` as
+    ``mc_expectation``'s reproducibility contract assigns them.  2^sum_exp
+    is the binary exponent of max |v|, and 2^exp that of max |v - mean(v)|
+    (either is 0 when what it measures is 0).  Scaling by a power of two is
+    exact, so each scaled sum has the bits of the unscaled one over its
+    power of two wherever that one is a normal float: every scaled term
+    lies in (-1, 1), and the scaled sum of squares in [1/4, m) for a
+    nonconstant v, even where the unscaled sums would overflow or underflow
+    to 0.
 
     ``fs`` lists the indicators first, as ``_tilt`` orders them, and L is
     lower triangular, so X_j for an indicator j depends on z_0..z_j alone.
     The chunk runs in blocks of rows and draws in two phases:
 
-    * indicator j draws z_j only for the samples that every earlier
-      indicator kept, from its own SFC64 stream seeded with
-      SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (j,)), forms
-      X_j = sum_{i <= j} L_ji z_i by one multiply and one add.reduce over
-      the coordinate axis (a sum in coordinate order, whatever the number of
-      samples), and compacts the survivors' normals z_0..z_j and their
-      positions, unless every sample survived;
-    * the survivors then draw their other coordinates from the chunk's own
-      SFC64 stream, sample by sample, in tiles of columns, and one matmul of
-      one shape per tile, (n - k) x n by n x tile, lands those coordinates
-      of L z; a last tile's columns past the survivors are zeros, computed
-      and ignored.
+    * indicator j draws z_j for the samples that every earlier indicator
+      kept, forms X_j = sum_{i <= j} L_ji z_i by one multiply and one
+      add.reduce over the coordinate axis (a sum in coordinate order,
+      whatever the number of samples), and compacts the survivors' normals
+      z_0..z_j and their positions, unless every sample survived;
+    * the survivors then draw their other coordinates in tiles of
+      MC_BLOCK / 2 columns, and one matmul of one shape per tile,
+      (n - k) x n by n x tile, lands those coordinates of L z; a last
+      tile's columns past the survivors are zeros, computed and ignored.
 
-    Each stream is consumed in sample order and consecutive standard_normal
-    calls consume it as one call does, so neither the block size nor the
-    number of survivors per block moves a bit; a tile is a whole number of
-    16 columns, because BLAS computes a trailing partial group of columns
-    with other kernels, in other bits.  The other factors are then
-    evaluated in their order on the survivors alone, every f_i into one work
-    row and their product into one more, which each block scatters to its
-    survivors' positions, 0 at every dead one: the product's true value,
-    also where another factor is inf (0 * inf is NaN).
+    Consecutive standard_normal calls consume a stream as one call does, so
+    neither the block size nor the number of survivors per block moves a
+    bit; a tile is a whole number of 16 columns, because BLAS computes a
+    trailing partial group of columns with other kernels, in other bits.
+    The other factors are then evaluated in their order on the survivors
+    alone, every f_i into one work row and their product into one more,
+    which each block scatters to its survivors' positions, 0 at every dead
+    one: the product's true value, also where another factor is inf
+    (0 * inf is NaN).
 
-    Memory: the chunk allocates its buffers once, two of n x MC_BLOCK floats
-    that swap roles at each compaction (the survivors' normals, packed
+    Buffers: the chunk allocates them once, two of n x MC_BLOCK floats that
+    swap roles at each compaction (the survivors' normals, packed
     coordinate-major, and the products L_ji z_i or the compacted normals;
     in the second phase the packed normals and the matmul's operand and
     result, half a buffer each), two rows, a mask row and three rows of
@@ -512,10 +494,7 @@ def _chunk_sums(
     n MC_BLOCK / k, so that its packed normals fit in one buffer; a larger
     block spreads each numpy call's fixed cost over more samples.  So a
     chunk holds about 2 MC_BLOCK n + m + 5 R floats and R booleans, with n
-    the sampled coordinates, whatever the sample count.  Each process of a
-    call (see _run_chunks) runs its chunks one after another and frees each
-    one's buffers before the next, so a call holds that much in each of its
-    processes.
+    the sampled coordinates, whatever the sample count.
     """
     n = low.shape[0]
     k = sum(isinstance(f, Indicator) for f in fs)
