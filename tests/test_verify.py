@@ -146,6 +146,10 @@ class TestTestFunctions:
         assert verify.PolyGauss(0, 2.0).evaluate(x)[2] == 1.0  # |0|^0 = 1
 
     @pytest.mark.parametrize("f", [
+        verify.Indicator(-1.0, 2.0),
+        verify.Indicator(-math.inf, 0.5),
+        verify.Indicator(0.5, math.inf),
+        verify.Indicator(-math.inf, math.inf),
         verify.PolyGauss(0, 1.5),
         verify.PolyGauss(1, 0.7),
         verify.PolyGauss(2, 3.0),
@@ -153,12 +157,20 @@ class TestTestFunctions:
     ])
     def test_evaluate_into_out(self, f):
         # writing into out gives the bits of a fresh result, and of the
-        # plain expression, for k > 0 in its overflow-free form
-        # (|x| exp(-x^2 / (k s)))^k; NaN inputs give NaN either way (IEEE
-        # leaves the sign of a NaN result open)
+        # plain expression of each family: an indicator's mask (its only
+        # route, inside) whatever out held before, polygauss k > 0 in its
+        # overflow-free form (|x| exp(-x^2 / (k s)))^k; NaN inputs give NaN
+        # either way (IEEE leaves the sign of a NaN result open)
         rng = np.random.default_rng(0)
         special = [0.0, -0.0, 5e-324, 0.5, -1.0, 40.0, math.inf, -math.inf, math.nan]
         x = np.concatenate([4.0 * rng.standard_normal(64), special])
+        if isinstance(f, verify.Indicator):
+            out = np.ones(x.size, dtype=bool)
+            got = f.inside(x, out)
+            assert got is out
+            assert np.array_equal(got, f.inside(x, np.zeros(x.size, dtype=bool)))
+            assert np.array_equal(got, (x > f.a) & (x < f.b))
+            return
         out = np.full(x.size, 7.0)
         with np.errstate(invalid="ignore"):  # |inf| * exp(-inf) is NaN
             fresh = f.evaluate(x)
