@@ -387,7 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotPositiveDefinite, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SPD
-    except (ValueError, OSError) as exc:  # InvalidParameter is a ValueError
+    # InvalidParameter is a ValueError; a MemoryError is a request too large
+    # to allocate, such as a family's n x n matrix at n = 1e8
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ArithmeticError as exc:

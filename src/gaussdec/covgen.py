@@ -95,6 +95,7 @@ class RandomSPD:
 
     def matrix(self) -> np.ndarray:
         _require(self.n >= 2, f"randomspd needs n >= 2, got {self.n}")
+        _require(self.seed >= 0, f"randomspd needs seed >= 0, got {self.seed}")
         _require(
             self.cond > 1.0 and np.isfinite(self.cond),
             f"randomspd needs cond > 1, got {self.cond}",
@@ -144,7 +145,10 @@ class Scaled:
         base = self.base.matrix()
         _require(v.size == base.shape[0], "variances length must match the base family dimension")
         root = np.sqrt(v)
-        return root[:, None] * base * root[None, :]
+        with np.errstate(over="ignore"):
+            m = root[:, None] * base * root[None, :]
+        _require(bool(np.all(np.isfinite(m))), "scaled covariance leaves the float range")
+        return m
 
 
 CovFamily = Union[AR1, Equicorrelated, Toeplitz, RandomSPD, Diagonal, Scaled]

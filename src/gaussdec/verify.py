@@ -20,11 +20,13 @@ Pieces:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
 import signal
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -267,16 +269,16 @@ def mc_expectation(
 
     Reproducibility contract:
 
-    * chunks: the samples are split into chunks of MC_CHUNK draws, the last
-      one smaller;
-    * chunk seeds: chunk i is seeded with the i-th child of
-      SeedSequence(seed).spawn(chunk count);
-    * streams: in chunk i, with child its seed, indicator coordinate j draws
-      from numpy's SFC64 bit generator seeded with
-      SeedSequence(child.entropy, spawn_key=child.spawn_key + (j,)), one
-      normal for each sample that every earlier indicator kept, in sample
+    * chunks: chunk i = 0, 1, .. holds min(MC_CHUNK, samples - i * MC_CHUNK)
+      of the samples, while that is positive;
+    * streams: every stream is numpy's SFC64 bit generator seeded with
+      SeedSequence(seed, spawn_key=key), the key (i, j) for indicator
+      coordinate j of chunk i and (i,) for its other coordinates.  Key (i,)
+      is the i-th child that SeedSequence(seed).spawn gives, and (i, j) the
+      j-th child of that one.  Stream (i, j) draws one normal for each
+      sample of the chunk that every earlier indicator kept, in sample
       order; the samples that every indicator kept then draw their other
-      coordinates from SFC64(child), sample by sample;
+      coordinates from stream (i,), sample by sample;
     * merge order: each chunk's sum and centred sum of squares, held at
       power-of-two scales, are merged in chunk order, so neither the mean
       nor the standard error overflows, and the standard error does not
@@ -285,10 +287,11 @@ def mc_expectation(
       given (x, fs, samples, seed) however many rows a block holds, however
       many processes run the chunks and whatever CPUs the affinity mask
       holds;
-    * memory: each process holds one chunk's buffers at a time, which do
-      not grow with the sample count (see ``_chunk_sums``).  The calling
-      process's lists of chunk seeds, jobs and chunk sums do, by about
-      0.7 kB per chunk (about 110 MB at 1e10 samples).
+    * memory: each process derives a chunk's size and streams from its
+      index, and holds one chunk's buffers at a time, which do not grow
+      with the sample count (see ``_chunk_sums``).  The calling process's
+      list of chunk sums does, by about 130 B per chunk (about 20 MB at
+      1e10 samples).
 
     Execution: the chunks are split into w contiguous slices, w the smaller
     of ``_cpu_count()`` and the chunk count.  The calling process runs the
@@ -311,10 +314,9 @@ def mc_expectation(
     if not rest:
         return kappa, 0.0
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [MC_CHUNK] * (n_chunks - 1) + [samples - MC_CHUNK * (n_chunks - 1)]
-    jobs = list(zip(sizes, children))
-    sums = _run_chunks(low, rest, jobs, min(_cpu_count(), n_chunks))
+    sums = _run_chunks(
+        lambda i: _chunk_sums(low, rest, samples, seed, i), n_chunks, min(_cpu_count(), n_chunks)
+    )
     # the chunk sums are merged at the largest of their scales: each one is
     # below 2^exp of its own, so their total overflows only where the mean
     # would
@@ -323,20 +325,25 @@ def mc_expectation(
     for chunk_sum, exp, _, _ in sums:
         total += math.ldexp(chunk_sum, exp - top)
     mean = math.ldexp(total / samples, top)
+
+    def gaps():
+        for i, (chunk_sum, exp, _, _) in enumerate(sums):
+            m = min(MC_CHUNK, samples - i * MC_CHUNK)
+            yield m, math.ldexp(chunk_sum / m, exp) - mean
+
     # Chan, Golub and LeVeque's merge of the chunks' centred sums of squares;
     # unlike one-pass sums of v and v*v it does not cancel when v is nearly
     # constant.  It runs at the scale 2^scale of the largest chunk deviation
     # or chunk-mean gap, so squares neither underflow nor overflow; a zero
     # sum or gap sets no scale.
-    gaps = [
-        math.ldexp(chunk_sum / m, exp) - mean for m, (chunk_sum, exp, _, _) in zip(sizes, sums)
-    ]
     scale = max(
-        [exp for _, _, m2, exp in sums if m2] + [math.frexp(gap)[1] for gap in gaps if gap],
+        itertools.chain(
+            (exp for _, _, m2, exp in sums if m2), (math.frexp(gap)[1] for _, gap in gaps() if gap)
+        ),
         default=0,
     )
     m2 = 0.0
-    for m, gap, (_, _, chunk_m2, exp) in zip(sizes, gaps, sums):
+    for (m, gap), (_, _, chunk_m2, exp) in zip(gaps(), sums):
         m2 += math.ldexp(chunk_m2, 2 * (exp - scale)) + m * math.ldexp(gap, -scale) ** 2
     var = m2 / (samples - 1)
     return kappa * mean, kappa * math.ldexp(math.sqrt(var / samples), scale)
@@ -366,26 +373,22 @@ def _signals_blocked():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _run_chunks(
-    low: np.ndarray,
-    fs: list[TestFunction],
-    jobs: list[tuple[int, np.random.SeedSequence]],
-    processes: int,
-) -> list[tuple[float, int, float, int]]:
-    """``_chunk_sums`` of every (m, seed) in ``jobs``, in their order.
+def _run_chunks(chunk: Callable[[int], object], count: int, processes: int) -> list:
+    """``[chunk(i) for i in range(count)]``, computed over ``processes``
+    processes.
 
-    The jobs are split into ``processes`` contiguous slices.  The calling
+    The indices are split into ``processes`` contiguous slices.  The calling
     process forks one child per slice after the first, runs the first slice
-    itself, then reads each child's sums, pickled through a pipe, before it
+    itself, then reads each child's results, pickled through a pipe, before it
     reaps that child.  With one process nothing is forked.  A child's body
     is one try/finally that ends in ``os._exit``, so it never returns into
-    its caller's frames; it sends back its sums or the exception that
+    its caller's frames; it sends back its results or the exception that
     stopped it, which is raised here with its own type (a child that sends
     nothing, killed or with an unpicklable exception, is a
     ChildProcessError).  On any exception here, an alarm or an interrupt
     included, every child not yet reaped is killed with SIGKILL and reaped.
     """
-    bounds = [len(jobs) * i // processes for i in range(processes + 1)]
+    bounds = [count * i // processes for i in range(processes + 1)]
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -403,9 +406,7 @@ def _run_chunks(
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                         os.close(r)
                         try:
-                            reply = pickle.dumps(
-                                (True, [_chunk_sums(low, fs, m, seed) for m, seed in jobs[lo:hi]])
-                            )
+                            reply = pickle.dumps((True, [chunk(i) for i in range(lo, hi)]))
                         except BaseException as exc:
                             reply = pickle.dumps((False, exc))
                         with open(w, "wb") as pipe:
@@ -415,7 +416,7 @@ def _run_chunks(
                         os._exit(status)
                 os.close(w)
                 children.append((pid, r))
-        sums = [_chunk_sums(low, fs, m, seed) for m, seed in jobs[: bounds[1]]]
+        results = [chunk(i) for i in range(bounds[1])]
         while children:
             pid, r = children[0]
             with open(r, "rb", closefd=False) as pipe:
@@ -431,8 +432,8 @@ def _run_chunks(
             ok, result = pickle.loads(reply)
             if not ok:
                 raise result
-            sums += result
-        return sums
+            results += result
+        return results
     finally:
         if children:
             with _signals_blocked():
@@ -446,13 +447,15 @@ def _run_chunks(
 def _chunk_sums(
     low: np.ndarray,
     fs: list[TestFunction],
-    m: int,
-    seed: np.random.SeedSequence,
+    samples: int,
+    seed: int,
+    i: int,
 ) -> tuple[float, int, float, int]:
     """The scaled sum sum(v) / 2^sum_exp, sum_exp, the scaled centred sum of
-    squares sum((v - mean(v))^2) / 4^exp and exp over one chunk of m draws,
-    v = prod_i f_i(X_i) with X = L z, drawn from the streams of ``seed`` as
-    ``mc_expectation``'s reproducibility contract assigns them.  2^sum_exp
+    squares sum((v - mean(v))^2) / 4^exp and exp over chunk i of the
+    ``samples`` draws, m of them, v = prod_i f_i(X_i) with X = L z, drawn
+    from the streams that ``mc_expectation``'s reproducibility contract
+    derives from ``seed`` and i.  2^sum_exp
     is the binary exponent of max |v|, and 2^exp that of max |v - mean(v)|
     (either is 0 when what it measures is 0).  Scaling by a power of two is
     exact, so each scaled sum has the bits of the unscaled one over its
@@ -498,15 +501,11 @@ def _chunk_sums(
     """
     n = low.shape[0]
     k = sum(isinstance(f, Indicator) for f in fs)
-    rng = np.random.Generator(np.random.SFC64(seed))
-    streams = [
-        np.random.Generator(
-            np.random.SFC64(
-                np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (j,))
-            )
-        )
-        for j in range(k)
-    ]
+    m = min(MC_CHUNK, samples - i * MC_CHUNK)
+    rng, *streams = (
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+        for key in [(i,)] + [(i, j) for j in range(k)]
+    )
     other = low[k:]
     size = n * MC_BLOCK
     rows = min(4 * MC_BLOCK, size // max(k, 1))

@@ -262,6 +262,32 @@ class TestExitCodes:
     def test_gen_invalid_family_is_exit_2(self):
         assert run(["gen", "--family", '{"kind":"equicorrelated","n":3,"rho":-0.6}']) == 2
 
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_family_too_large_to_allocate_is_exit_2(self, command, tmp_path, capsys):
+        # the n x n matrix at n = 1e8 is 71 PiB, more than a process can
+        # address on 64-bit hardware: numpy's MemoryError is one error line,
+        # not a traceback
+        family = {"kind": "equicorrelated", "n": 100_000_000, "rho": 0.5}
+        if command == "gen":
+            args = ["gen", "--family", json.dumps(family)]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"family": dict(family, rho="0.5:0.6:0.1"), "p_grid": "2:3:1"}))
+            args = ["sweep", "--spec", str(spec)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_gen_nested_scaled_overflow_is_exit_2(self, capsys):
+        # 1e100 * (1e200 * 0.5) * 1e100 leaves the float range: invalid
+        # parameters, with no overflow warning (the suite turns warnings
+        # into errors)
+        inner = {"kind": "scaled", "base": {"kind": "ar1", "n": 2, "rho": 0.5},
+                 "variances": [1e200, 1e200]}
+        family = {"kind": "scaled", "base": inner, "variances": [1e200, 1e200]}
+        assert run(["gen", "--family", json.dumps(family)]) == 2
+        assert capsys.readouterr().err == "error: scaled covariance leaves the float range\n"
+
     def test_gen_malformed_inline_family_is_exit_2_naming_the_flag(self, capsys):
         assert run(["gen", "--family", "{bad"]) == 2
         assert "--family: malformed JSON" in capsys.readouterr().err

@@ -61,6 +61,11 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             covgen.generate(covgen.RandomSPD(4, seed=1, cond=1.0))
 
+    def test_randomspd_negative_seed(self):
+        # numpy's own message, "expected non-negative integer", names nothing
+        with pytest.raises(InvalidParameter, match="randomspd needs seed >= 0, got -1"):
+            covgen.generate(covgen.RandomSPD(4, seed=-1))
+
     def test_scaled_length_mismatch(self):
         with pytest.raises(InvalidParameter):
             covgen.generate(covgen.Scaled(covgen.AR1(3, 0.2), (1.0, 2.0)))

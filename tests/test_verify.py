@@ -838,6 +838,53 @@ class TestMCExpectation:
             assert len(forks) == min(cpus, chunks) - 1
             assert got == sequential_mc_expectation(EQUI, fs, samples, seed=chunks)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**200])
+    def test_stream_keys_are_the_spawned_children(self, seed):
+        # SeedSequence(seed, spawn_key=(i,)) is the i-th child that
+        # SeedSequence(seed).spawn gives, and (i, j) the j-th child of that
+        # child: over three chunks, the estimate has the bits of the
+        # reference, which spawns them
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+            for key, ref in [((i,), child)] + [((i, j), g) for j, g in enumerate(child.spawn(2))]:
+                got = np.random.SeedSequence(seed, spawn_key=key).generate_state(4)
+                assert np.array_equal(got, ref.generate_state(4))
+        fs = [HALF_LINE, verify.PolyGauss(1, 2.0)]
+        samples = 2 * verify.MC_CHUNK + 1815
+        got = verify.mc_expectation(EQUI, fs, samples, seed)
+        assert got == sequential_mc_expectation(EQUI, fs, samples, seed)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_no_seed_sequence_is_spawned(self, monkeypatch, processes):
+        # every process derives its chunks' streams from their index, and
+        # the calling process spawns no list of chunk seeds
+        expected = sequential_mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 150_000, seed=6)
+
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("SeedSequence.spawn called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr(verify, "_cpu_count", lambda: processes)
+        assert verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], 150_000, seed=6) == expected
+
+    def test_caller_memory_per_chunk(self, monkeypatch):
+        # beside the chunks' own buffers, the calling process holds one
+        # chunk sum per chunk: at 1e9 samples (15259 chunks), at most 256
+        # bytes each, with the chunks stubbed to distinct sums
+        def chunk_sums(low, fs, samples, seed, i):
+            return (i + 0.5, 1, i + 0.25, 1)
+
+        monkeypatch.setattr(verify, "_chunk_sums", chunk_sums)
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        samples = 10**9
+        tracemalloc.start()
+        try:
+            verify.mc_expectation(EQUI, [HALF_LINE, HALF_LINE], samples, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * -(-samples // verify.MC_CHUNK)
+
     def test_cpu_count_reads_the_affinity_mask(self, monkeypatch):
         # the CPUs this process may run on; the machine's count where there
         # is no affinity call, and 1 where there is no fork
